@@ -28,7 +28,7 @@ independent instances of a static sketch, one active at a time.  The
   and therefore published outputs — bit-for-bit identical across
   execution modes;
 * **stacked copy groups** — homogeneous groups of a stackable sketch
-  (CountMin, CountSketch, AMS) fuse their array state into one
+  (CountMin, CountSketch, AMS, KMV) fuse their array state into one
   :class:`~repro.sketches.stacking.SketchStack` per group: one stacked
   array for all k copies, one shared per-chunk hash pass, one
   vectorized ``query_all``.  The original sketch objects stay installed
@@ -718,7 +718,29 @@ class LocalCopyBackend:
             copies.sketches[idx].update_batch(items, deltas)
 
     def replace(self, idx: int, rng: np.random.Generator) -> None:
-        self._copies.install(idx, self._copies.factory_for(idx)(rng))
+        copies = self._copies
+        copies.install(idx, copies.factory_for(idx)(rng))
+        hit = copies._plane_of.get(idx)
+        if hit is not None:
+            self._refresh_plane(copies.stacks[hit[0]], hit[1])
+
+    def _refresh_plane(self, stack, plane: int) -> None:
+        """The copy installed at ``plane`` hashes differently: fix every
+        prepared chunk cached for ``stack``.
+
+        Whole-region preps get the plane's columns recomputed (one
+        single-copy hash pass each); subrange preps are dropped, since
+        :meth:`_raw_prepared` re-gathers them from the refreshed whole
+        chunk on demand.
+        """
+        staged = 0 if self._items is None else len(self._items)
+        whole = ("raw", id(stack), 0, staged)
+        for key in [k for k in self._prep if k[1] == id(stack)]:
+            prep = self._prep[key]
+            if key[0] == "raw" and key != whole:
+                del self._prep[key]
+            elif prep is not None:
+                stack.refresh(prep, plane)
 
     def fetch(self, idx: int) -> Sketch:
         """The copy at ``idx`` (epoch wrappers snapshot it for publishing)."""
@@ -860,6 +882,12 @@ class UniverseLocalBackend(LocalCopyBackend):
             prep = stack.prepare_counts(cols, self._range_counts(lo, hi))
             self._prep[key] = prep
         return prep
+
+    def _refresh_plane(self, stack, plane: int) -> None:
+        super()._refresh_plane(stack, plane)
+        cols = self._ucols.get(id(stack))
+        if cols is not None:
+            stack.refresh(cols, plane)
 
     def step_probed(self, pos: int, probes: tuple[int, ...]) -> np.ndarray:
         copies = self._copies

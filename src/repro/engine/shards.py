@@ -147,10 +147,11 @@ def partition_copies(count: int, workers: int) -> list[list[int]]:
     return shards
 
 
-def _accepts_assume_unique(sketch: Sketch) -> bool:
-    """Does this sketch's ``update_batch`` take the dedup hint keyword?"""
+def _accepts_assume_unique(cls: type) -> bool:
+    """Does this sketch class's ``update_batch`` take the dedup hint?"""
     try:
-        return "assume_unique" in inspect.signature(sketch.update_batch).parameters
+        params = inspect.signature(cls.update_batch).parameters
+        return "assume_unique" in params
     except (TypeError, ValueError):  # builtins / odd callables
         return False
 
@@ -177,7 +178,9 @@ class CopyHoists:
             universe=universe,
             filter_duplicates=all(s.duplicate_insensitive for s in sketches),
             aggregate_once=all(s.aggregation_invariant for s in sketches),
-            unique_hint=all(_accepts_assume_unique(s) for s in sketches),
+            unique_hint=all(
+                _accepts_assume_unique(t) for t in {type(s) for s in sketches}
+            ),
         )
 
     def make_seen_filter(self) -> SeenFilter | None:

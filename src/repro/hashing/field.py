@@ -156,18 +156,58 @@ def field_mul_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _narrow(xs: np.ndarray) -> bool:
+    """Whether every point is below ``2**32`` (the narrow Horner kernel)."""
+    return xs.size == 0 or int(xs.max()) <= 0xFFFFFFFF
+
+
+def _mul_add_narrow(acc: np.ndarray, xs: np.ndarray, c, hi, t) -> None:
+    """In place: ``acc = (acc * xs + c) mod P`` for points ``xs < 2**32``.
+
+    Splitting the field element ``acc`` at bit 29 leaves two partial
+    products instead of :func:`field_mul_vec`'s four: ``lo * x < 2**61``
+    needs no fold, and ``hi * x < 2**64`` carries ``2**29`` folded as
+    ``(m >> 32) + (m & mask32) << 29`` via ``2**61 === 1 (mod P)``.  The
+    sum plus ``c`` stays below ``2**63``, so one fold and one conditional
+    subtraction (``min(a, a - P)``: the wrapped difference is huge exactly
+    when ``a < P``) give the canonical residue — bit-for-bit the wide
+    kernel's.  ``hi`` and ``t`` are scratch buffers shaped like ``acc``.
+    """
+    np.right_shift(acc, _S29, out=hi)
+    hi *= xs  # < 2^32 * 2^32
+    acc &= _MASK29
+    acc *= xs  # < 2^29 * 2^32
+    np.bitwise_and(hi, _MASK32, out=t)
+    t <<= _S29
+    hi >>= _S32
+    acc += t
+    acc += hi
+    acc += c  # < 2^63
+    np.right_shift(acc, _S61, out=t)
+    acc &= _P64
+    acc += t  # <= P + 3
+    np.subtract(acc, _P64, out=t)
+    np.minimum(acc, t, out=acc)
+
+
 def poly_eval_vec(coefficients: Sequence[int], xs: np.ndarray) -> np.ndarray:
     """Evaluate one polynomial at a ``uint64`` array of points over GF(P).
 
-    Horner's rule with :func:`field_mul_vec`; coefficients are given from
-    the constant term upward, exactly as in :func:`poly_eval`.  Matches
-    :func:`poly_eval` bit-for-bit on every input in ``[0, P)``.
+    Horner's rule with :func:`field_mul_vec` (or the two-product narrow
+    kernel when every point is below ``2**32``); coefficients are given
+    from the constant term upward, exactly as in :func:`poly_eval`.
+    Matches :func:`poly_eval` bit-for-bit on every input in ``[0, P)``.
     """
     xs = np.ascontiguousarray(xs, dtype=np.uint64)
     rev = [c % MERSENNE_P for c in reversed(coefficients)]
     # Horner's first round multiplies the (zero) accumulator, so start the
     # accumulator at the leading coefficient directly.
     acc = np.full(xs.shape, np.uint64(rev[0]), dtype=np.uint64)
+    if _narrow(xs):
+        hi, t = np.empty_like(acc), np.empty_like(acc)
+        for c in rev[1:]:
+            _mul_add_narrow(acc, xs, np.uint64(c), hi, t)
+        return acc
     for c in rev[1:]:
         acc = field_mul_vec(acc, xs)
         acc += np.uint64(c)  # < 2^62: one fold suffices
@@ -183,7 +223,7 @@ def poly_eval_stacked(coeff_matrix: np.ndarray, xs: np.ndarray) -> np.ndarray:
     elements, constant term upward per row — one row per polynomial.
     Returns a ``(polys, len(xs))`` uint64 array where row ``i`` equals
     ``poly_eval_vec(coeff_matrix[i], xs)`` bit-for-bit: the shared Horner
-    recursion runs over a 2-D accumulator, and :func:`field_mul_vec` is
+    recursion runs over a 2-D accumulator, and both multiply kernels are
     elementwise, so stacking rows never changes any row's arithmetic.
 
     This is the shared-hash-pass kernel for stacked copy groups: the k
@@ -199,6 +239,11 @@ def poly_eval_stacked(coeff_matrix: np.ndarray, xs: np.ndarray) -> np.ndarray:
     xs = np.ascontiguousarray(xs, dtype=np.uint64)
     rev = coeff_matrix[:, ::-1]
     acc = np.repeat(rev[:, 0:1], len(xs), axis=1)
+    if _narrow(xs):
+        hi, t = np.empty_like(acc), np.empty_like(acc)
+        for j in range(1, rev.shape[1]):
+            _mul_add_narrow(acc, xs, rev[:, j : j + 1], hi, t)
+        return acc
     for j in range(1, rev.shape[1]):
         acc = field_mul_vec(acc, xs)
         acc += rev[:, j : j + 1]  # < 2^62: one fold suffices

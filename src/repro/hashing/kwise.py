@@ -23,7 +23,6 @@ import numpy as np
 from repro.hashing.field import (
     FIELD_BITS,
     MERSENNE_P,
-    mod_mersenne,
     poly_eval_stacked,
     poly_eval_vec,
 )
@@ -53,14 +52,15 @@ class KWiseHash:
         # Draw coefficients uniformly from the field.  The leading coefficient
         # is allowed to be zero; that only makes the family larger.
         coeffs = rng.integers(0, MERSENNE_P, size=k, dtype=np.uint64)
-        self._coeffs: list[int] = [int(c) for c in coeffs]
+        self._coeffs: list[int] = coeffs.tolist()
         self._shift = FIELD_BITS - out_bits
 
     def __call__(self, x: int) -> int:
-        """Hash a single item."""
+        """Hash a single item (inlined Horner; same residues as
+        :func:`~repro.hashing.field.poly_eval`)."""
         acc = 0
         for c in reversed(self._coeffs):
-            acc = mod_mersenne(acc * x + c)
+            acc = (acc * x + c) % MERSENNE_P
         return acc >> self._shift
 
     def hash_many(self, xs: np.ndarray) -> np.ndarray:

@@ -336,6 +336,9 @@ class AMSStack(SketchStack):
         unique, summed = aggregate_batch(items, deltas)
         return _AMSPrep(unique, summed.astype(np.float64))
 
+    def refresh(self, prepared, plane: int) -> None:
+        prepared.cols.pop(plane, None)  # regathered lazily on next feed
+
     def feed(self, prepared, planes) -> None:
         if prepared is None:
             return

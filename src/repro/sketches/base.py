@@ -108,8 +108,9 @@ class Sketch(abc.ABC):
     #: state into a :class:`repro.sketches.stacking.SketchStack` — one
     #: stacked array and one shared per-chunk hash pass for all k copies.
     #: Requires fixed-shape array state mutated strictly in place, equal
-    #: hash degrees across copies, and aggregation-invariant batches;
-    #: sketches with list/set-shaped state (KMV, Misra–Gries) stay on the
+    #: hash degrees across copies, and aggregation-invariant batches
+    #: (KMV qualifies through its sentinel-padded sorted bottom-k array);
+    #: sketches with map-shaped state (Misra–Gries) stay on the
     #: per-object path.  Opting in means also overriding :meth:`make_stack`.
     stackable: bool = False
 

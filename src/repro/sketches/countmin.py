@@ -172,14 +172,19 @@ class CountMinStack(SketchStack):
         if np.any(deltas < 0):
             raise ValueError("CountMin requires non-negative updates")
         unique, summed = aggregate_batch(items, deltas)
-        hashes = [h for s in self.sketches for h in s._hashes]
-        buckets = (
-            hash_many_stacked(hashes, unique) % np.uint64(self.width)
-        ).astype(np.intp)
         return _CountMinPrep(
-            unique, summed,
-            buckets.reshape(self.planes, self.rows, -1), int(summed.sum()),
+            unique, summed, self._buckets(self.sketches, unique),
+            int(summed.sum()),
         )
+
+    def _buckets(self, sketches, items):
+        """``(len(sketches), rows, len(items))`` bucket columns of the
+        given copies, in one stacked hash pass."""
+        hashes = [h for s in sketches for h in s._hashes]
+        buckets = (
+            hash_many_stacked(hashes, items) % np.uint64(self.width)
+        ).astype(np.intp)
+        return buckets.reshape(len(sketches), self.rows, -1)
 
     def subset(self, prepared, items, deltas=None):
         items, deltas = as_batch_arrays(items, deltas)
@@ -194,6 +199,11 @@ class CountMinStack(SketchStack):
         return _CountMinPrep(
             unique, summed, prepared.buckets[:, :, idx], int(summed.sum())
         )
+
+    def refresh(self, prepared, plane: int) -> None:
+        prepared.buckets[plane] = self._buckets(
+            [self.sketches[plane]], prepared.unique
+        )[0]
 
     def feed(self, prepared, planes) -> None:
         if prepared is None:

@@ -254,13 +254,15 @@ class CountSketch(PointQuerySketch):
 class _CountSketchPrep:
     """A chunk aggregated, bucket-hashed and sign-weighted for all planes."""
 
-    __slots__ = ("unique", "buckets", "signs", "weighted")
+    __slots__ = ("unique", "summed", "buckets", "signs", "weighted")
 
-    def __init__(self, unique, buckets, signs, weighted):
+    def __init__(self, unique, summed, buckets, signs):
         self.unique = unique  # sorted distinct items (np.unique order)
+        self.summed = summed  # float64 summed deltas (None: universe columns)
         self.buckets = buckets  # (planes, rows, distinct) bucket columns
         self.signs = signs  # (planes, rows, distinct) +-1.0 sign columns
-        self.weighted = weighted  # (planes, rows, distinct) sign * delta
+        # (planes, rows, distinct) sign * delta
+        self.weighted = None if summed is None else signs * summed
 
 
 class CountSketchStack(SketchStack):
@@ -282,20 +284,27 @@ class CountSketchStack(SketchStack):
         for p, s in enumerate(self.sketches):
             s._table = self.tables[p]
 
+    def _columns(self, sketches, items):
+        """``(len(sketches), rows, len(items))`` bucket and sign columns
+        of the given copies, in one stacked hash pass."""
+        buckets = [h for s in sketches for h in s._buckets]
+        signs = [g for s in sketches for g in s._signs]
+        cols = (
+            hash_many_stacked(buckets, items) % np.uint64(self.width)
+        ).astype(np.intp)
+        shape = (len(sketches), self.rows, len(items))
+        sign_cols = sign_many_stacked(signs, items).reshape(shape)
+        return cols.reshape(shape), sign_cols
+
     def prepare(self, items, deltas=None):
         items, deltas = as_batch_arrays(items, deltas)
         if len(items) == 0:
             return None
         unique, summed = aggregate_batch(items, deltas)
-        buckets = [h for s in self.sketches for h in s._buckets]
-        signs = [g for s in self.sketches for g in s._signs]
-        cols = (
-            hash_many_stacked(buckets, unique) % np.uint64(self.width)
-        ).astype(np.intp)
-        shape = (self.planes, self.rows, len(unique))
-        sign_cols = sign_many_stacked(signs, unique).reshape(shape)
-        weighted = sign_cols * summed.astype(np.float64)
-        return _CountSketchPrep(unique, cols.reshape(shape), sign_cols, weighted)
+        return _CountSketchPrep(
+            unique, summed.astype(np.float64),
+            *self._columns(self.sketches, unique),
+        )
 
     def prepare_universe(self, universe: int):
         """Bucket/sign columns for all of ``[0, universe)``, hashed once.
@@ -308,14 +317,7 @@ class CountSketchStack(SketchStack):
         for never hashing or sorting a chunk again.
         """
         ids = np.arange(universe, dtype=np.int64)
-        buckets = [h for s in self.sketches for h in s._buckets]
-        signs = [g for s in self.sketches for g in s._signs]
-        cols = (
-            hash_many_stacked(buckets, ids) % np.uint64(self.width)
-        ).astype(np.intp)
-        shape = (self.planes, self.rows, universe)
-        sign_cols = sign_many_stacked(signs, ids).reshape(shape)
-        return _CountSketchPrep(ids, cols.reshape(shape), sign_cols, None)
+        return _CountSketchPrep(ids, None, *self._columns(self.sketches, ids))
 
     def prepare_counts(self, ucols, counts):
         """Prepared chunk from a dense count vector over the universe.
@@ -329,11 +331,9 @@ class CountSketchStack(SketchStack):
         support = np.nonzero(counts)[0]
         if len(support) == 0:
             return None
-        cols = ucols.buckets[:, :, support]
-        sign_cols = ucols.signs[:, :, support]
-        weighted = sign_cols * counts[support].astype(np.float64)
         return _CountSketchPrep(
-            support.astype(np.int64), cols, sign_cols, weighted
+            support.astype(np.int64), counts[support].astype(np.float64),
+            ucols.buckets[:, :, support], ucols.signs[:, :, support],
         )
 
     def step_item(self, ucols, item, delta, planes) -> None:
@@ -362,10 +362,16 @@ class CountSketchStack(SketchStack):
         # float), so the recombined weights match a fresh prepare bit for
         # bit.
         idx = np.searchsorted(prepared.unique, unique)
-        cols = prepared.buckets[:, :, idx]
-        sign_cols = prepared.signs[:, :, idx]
-        weighted = sign_cols * summed.astype(np.float64)
-        return _CountSketchPrep(unique, cols, sign_cols, weighted)
+        return _CountSketchPrep(
+            unique, summed.astype(np.float64),
+            prepared.buckets[:, :, idx], prepared.signs[:, :, idx],
+        )
+
+    def refresh(self, prepared, plane: int) -> None:
+        cols, signs = self._columns([self.sketches[plane]], prepared.unique)
+        prepared.buckets[plane], prepared.signs[plane] = cols[0], signs[0]
+        if prepared.weighted is not None:
+            prepared.weighted[plane] = prepared.signs[plane] * prepared.summed
 
     def feed(self, prepared, planes) -> None:
         if prepared is None:

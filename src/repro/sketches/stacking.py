@@ -36,8 +36,13 @@ and implementing ``make_stack``.  Qualifying requires:
 * aggregation-invariant batch semantics, so one shared per-chunk
   aggregation feeds every plane.
 
-List- or set-shaped state (KMV's sample list, MisraGries' counter map)
-does not stack; those sketches keep the object path.
+KMV qualifies by keeping its bottom-k set as a sentinel-padded sorted
+array of fixed length k.  Map-shaped state (MisraGries' counter map)
+does not stack; such sketches keep the object path.
+
+Installing a copy into a live stack changes that plane's hash
+functions, so callers that cache prepared chunks across an install
+must :meth:`SketchStack.refresh` the plane in each of them.
 """
 
 from __future__ import annotations
@@ -51,10 +56,11 @@ class SketchStack(abc.ABC):
     """Stacked state for a contiguous homogeneous group of sketch copies.
 
     Subclasses adopt the templates' arrays into one ``(planes, ...)``
-    stack at construction and rebind each template's array attribute to
-    its plane view.  All mutation of stacked state must go through the
-    stack (``feed``/``install``/``restore``) or through in-place NumPy
-    writes on a template's view; rebinding a template's array attribute
+    stack at construction (KMV defers this to its first bulk operation)
+    and rebind each template's array attribute to its plane view.  All
+    mutation of stacked state must go through the stack
+    (``feed``/``install``/``restore``) or through in-place NumPy writes
+    on a template's view; rebinding a template's array attribute
     outside :meth:`install` silently detaches it from the stack.
     """
 
@@ -129,6 +135,17 @@ class SketchStack(abc.ABC):
         re-prepares; results are bit-for-bit identical either way.
         """
         return self.prepare(items, deltas)
+
+    @abc.abstractmethod
+    def refresh(self, prepared, plane: int) -> None:
+        """Recompute ``plane``'s hash columns in a prepared chunk, in place.
+
+        A copy installed into a live stack (restart-ring advance, DP
+        retirement, ladder refresh) brings new hash functions, so every
+        prepared chunk or universe-columns object cached across the
+        install must be refreshed before it feeds that plane again.
+        Columns of the other planes are untouched.
+        """
 
     @abc.abstractmethod
     def feed(self, prepared, planes) -> None:

@@ -136,3 +136,56 @@ class TestVectorizedKernels:
         b = np.repeat(np.array(edge, dtype=np.uint64), len(edge))
         expected = [(int(x) * int(y)) % MERSENNE_P for x, y in zip(a, b)]
         assert field_mul_vec(a, b).tolist() == expected
+
+
+narrow_points = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1)
+)
+wide_points = st.one_of(
+    st.sampled_from([2**32, MERSENNE_P - 1]),
+    st.integers(2**32, MERSENNE_P - 1),
+)
+
+
+class TestNarrowHorner:
+    """The two-product Horner step for points below 2^32 matches the
+    wide four-product kernel, and dispatch falls back on wider points."""
+
+    @given(
+        st.lists(elements, min_size=1, max_size=32),
+        st.lists(narrow_points, min_size=1, max_size=32),
+        elements,
+    )
+    def test_mul_add_matches_wide_kernel(self, accs, xs, c):
+        import numpy as np
+
+        from repro.hashing.field import _mul_add_narrow, field_mul_vec
+
+        size = min(len(accs), len(xs))
+        acc = np.array(accs[:size], dtype=np.uint64)
+        x = np.array(xs[:size], dtype=np.uint64)
+        wide = (field_mul_vec(acc.copy(), x) + np.uint64(c)) % np.uint64(
+            MERSENNE_P
+        )
+        got = acc.copy()
+        _mul_add_narrow(got, x, np.uint64(c), np.empty_like(got),
+                        np.empty_like(got))
+        assert np.array_equal(got, wide)
+
+    @given(
+        st.lists(elements, min_size=1, max_size=8),
+        st.lists(st.one_of(narrow_points, wide_points), min_size=1,
+                 max_size=32),
+    )
+    def test_poly_eval_dispatch_matches_scalar(self, coeffs, xs):
+        import numpy as np
+
+        from repro.hashing.field import poly_eval_stacked, poly_eval_vec
+
+        arr = np.array(xs, dtype=np.uint64)
+        expected = poly_eval_many(coeffs, xs)
+        assert poly_eval_vec(coeffs, arr).tolist() == expected
+        matrix = np.array([coeffs, coeffs[::-1]], dtype=np.uint64)
+        stacked = poly_eval_stacked(matrix, arr)
+        assert stacked[0].tolist() == expected
+        assert stacked[1].tolist() == poly_eval_many(coeffs[::-1], xs)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.hashing.field import MERSENNE_P, poly_eval
 from repro.hashing.kwise import KWiseHash, KWiseSignHash, TabulationHash
 
 
@@ -41,6 +42,16 @@ class TestKWiseHash:
         h = KWiseHash(5, np.random.default_rng(5), out_bits=32)
         xs = np.array([3, 99, 12345, 0], dtype=np.int64)
         assert list(h.hash_many(xs)) == [h(int(x)) for x in xs]
+
+    def test_call_matches_poly_eval(self):
+        """The inlined scalar Horner loop is ``poly_eval``, truncated."""
+        xs = [0, 1, 2, 2**32 - 1, 2**32, 2**40 + 7, MERSENNE_P - 1, 10**30]
+        xs += np.random.default_rng(6).integers(0, 2**62, size=64).tolist()
+        for k in (1, 2, 8):
+            for out_bits in (61, 20):
+                h = KWiseHash(k, np.random.default_rng(k), out_bits=out_bits)
+                for x in xs:
+                    assert h(x) == poly_eval(h._coeffs, x) >> (61 - out_bits)
 
     def test_invalid_args(self):
         rng = np.random.default_rng(0)

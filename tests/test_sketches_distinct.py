@@ -65,6 +65,17 @@ class TestKMV:
         with pytest.raises(ValueError):
             KMVSketch(4, np.random.default_rng(0)).update(1, -1)
 
+    def test_fresh_sketches_share_no_state(self):
+        """Fresh states start as one shared read-only sentinel row; every
+        write path must copy it out instead of writing through it."""
+        a, b, c, d = (KMVSketch(8, np.random.default_rng(i)) for i in range(4))
+        a.update(5)
+        b.update_batch(np.arange(20))
+        c.merge(b)
+        for sketch, size in ((a, 1), (b, 8), (c, 8), (d, 0)):
+            assert len(sketch.state_fingerprint()) == size
+        assert d.query() == 0.0 and d.empty_like().query() == 0.0
+
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             KMVSketch(1, np.random.default_rng(0))

@@ -13,14 +13,16 @@ Layers under test:
 * kernel level — ``poly_eval_stacked`` / ``hash_many_stacked`` /
   ``sign_many_stacked`` against their per-hash counterparts;
 * sketch level — each :class:`~repro.sketches.stacking.SketchStack`
-  (CountMin, CountSketch, AMS) against per-object ``update_batch``,
+  (CountMin, CountSketch, AMS, KMV) against per-object ``update_batch``,
   including subrange preps, save/restore, install, and detach;
 * manager level — stacking eligibility rules and the ndarray
   ``estimate_all`` contract;
 * protocol level (Hypothesis) — whole switching estimators, stacked vs
   twin, across per-item / chunked / SerialEngine / ProcessEngine, with
   restart rings, DP budget-exhaustion refreshes, and difference-ladder
-  tier refreshes forcing mid-stream retirement through the stacks.
+  tier refreshes forcing mid-stream retirement through the stacks —
+  including the Theorem 5.1 KMV ring and regression cases for prepared
+  hash columns that must be refreshed when a copy is replaced mid-chunk.
 """
 
 import numpy as np
@@ -38,6 +40,7 @@ from repro.core.disciplines import (
 from repro.core.ladder import DifferenceLadder, LadderTier
 from repro.core.sketch_switching import SwitchingEstimator
 from repro.engine import ProcessEngine, SerialEngine, fork_available
+from repro.engine.shards import plan_shards
 from repro.hashing.field import poly_eval_stacked, poly_eval_vec
 from repro.hashing.kwise import (
     KWiseHash,
@@ -50,6 +53,8 @@ from repro.sketches.ams import AMSSketch
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.countsketch import CountSketch
 from repro.sketches.kmv import KMVSketch
+from repro.sketches.misra_gries import MisraGries
+from repro.streams.sources import GeneratorChunkSource
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="process engine requires the fork start method"
@@ -118,15 +123,24 @@ STACKED_CASES = [
     (CountSketch, (32, 5), {}),
     (CountSketch, (32, 5), {"track_candidates": 4}),
     (AMSSketch, (6, 3), {}),
+    (KMVSketch, (16,), {}),
+    (KMVSketch, (300,), {}),  # stays in the exact small regime
 ]
 
 
 def _state(sketch):
-    if isinstance(sketch, CountMinSketch):
+    if isinstance(sketch, (CountMinSketch, CountSketch)):
         return sketch._table
-    if isinstance(sketch, CountSketch):
-        return sketch._table
+    if isinstance(sketch, KMVSketch):
+        return sketch._mins
     return sketch._y
+
+
+def _block(stack):
+    for name in ("tables", "mins", "ys"):
+        if hasattr(stack, name):
+            return getattr(stack, name)
+    raise AssertionError(f"no stacked block on {type(stack).__name__}")
 
 
 class TestSketchStacks:
@@ -196,8 +210,7 @@ class TestSketchStacks:
         fresh = cls(*args, np.random.default_rng(999), **kwargs)
         stack.install(1, fresh)
         assert stack.sketches[1] is fresh
-        assert np.shares_memory(_state(fresh), stack.tables
-                                if hasattr(stack, "tables") else stack.ys)
+        assert np.shares_memory(_state(fresh), _block(stack))
         # Feeding through the stack reaches the installed copy's plane.
         stack.feed(stack.prepare(items, None), [1])
         twin = cls(*args, np.random.default_rng(999), **kwargs)
@@ -213,10 +226,29 @@ class TestSketchStacks:
         states = [_state(s).copy() for s in stack.sketches]
         sketches = list(stack.sketches)
         stack.detach()
-        block = stack.tables if hasattr(stack, "tables") else stack.ys
+        block = _block(stack)
         for i, s in enumerate(sketches):
             assert np.array_equal(_state(s), states[i])
             assert not np.shares_memory(_state(s), block)
+
+    @pytest.mark.parametrize("cls,args,kwargs", STACKED_CASES)
+    def test_refresh_after_install(self, cls, args, kwargs):
+        """A prep (and a subrange of it) cached across an install feeds
+        the installed copy exactly like a fresh prepare would."""
+        rng = np.random.default_rng(13)
+        items = rng.integers(0, 90, size=700).astype(np.int64)
+        _, stack = _twins(cls, args, 3, **kwargs)
+        full = stack.prepare(items, None)
+        sub = stack.subset(full, items[100:500], None)
+        stack.install(2, cls(*args, np.random.default_rng(777), **kwargs))
+        stack.refresh(full, 2)
+        stack.refresh(sub, 2)
+        stack.feed(sub, [2])
+        stack.feed(full, [2])
+        twin = cls(*args, np.random.default_rng(777), **kwargs)
+        twin.update_batch(items[100:500])
+        twin.update_batch(items)
+        assert np.array_equal(_state(stack.sketches[2]), _state(twin))
 
 
 # ----------------------------------------------------------------------
@@ -240,14 +272,14 @@ class TestCopyManagerStacking:
 
     def test_unstackable_sketch_keeps_object_path(self):
         mgr = CopyManager(
-            lambda r: KMVSketch(16, r), 5, np.random.default_rng(0)
+            lambda r: MisraGries(16), 5, np.random.default_rng(0)
         )
         assert not mgr.stacks
 
     def test_single_copy_group_not_stacked(self):
         mgr = CopyManager.grouped(
             [(lambda r: CountMinSketch(16, 3, r), 1),
-             (lambda r: KMVSketch(16, r), 2)],
+             (lambda r: MisraGries(16), 2)],
             np.random.default_rng(0),
         )
         assert not mgr.stacks
@@ -456,4 +488,190 @@ class TestStackedTwinEquivalence:
                            SerialEngine())
         t0 = _trace_engine(_ladder_estimator(False), items, chunk,
                            SerialEngine())
+        assert t1 == t0
+
+
+# ----------------------------------------------------------------------
+# KMV groups (Theorem 5.1) and copy replacement under cached preps
+# ----------------------------------------------------------------------
+
+
+def _kmv_ring(stacked):
+    return SwitchingEstimator(
+        factory=lambda rng: KMVSketch(24, rng),
+        copies=6, rng=np.random.default_rng(42),
+        band=MultiplicativeBand(0.3), restart=True, stacked=stacked,
+    )
+
+
+def _kmv_dp(stacked, budget=None):
+    return SwitchingEstimator(
+        factory=lambda rng: KMVSketch(24, rng),
+        copies=5, rng=np.random.default_rng(42),
+        band=MultiplicativeBand(0.3),
+        discipline=PrivateAggregateDiscipline(
+            noise_scale=0.02, switch_budget=budget, on_exhausted="retire"
+        ),
+        stacked=stacked,
+    )
+
+
+def _kmv_ladder(stacked):
+    ladder = DifferenceLadder([
+        LadderTier(copies=2, noise_scale=0.1, capacity=3, span=0.35),
+    ])
+    manager = CopyManager.grouped(
+        [(lambda r: KMVSketch(8, r), 2), (lambda r: KMVSketch(32, r), 4)],
+        np.random.default_rng(42), stacked=stacked,
+    )
+    return SwitchingEstimator(
+        copies=manager, band=MultiplicativeBand(0.4),
+        discipline=DifferenceAggregateDiscipline(
+            ladder=ladder, noise_scale=0.05, on_exhausted="retire"
+        ),
+        stacked=stacked,
+    )
+
+
+def _cs_ring(stacked, copies=6, band=0.4):
+    return SwitchingEstimator(
+        factory=lambda rng: CountSketch(32, 3, rng, track_candidates=0),
+        copies=copies, rng=np.random.default_rng(42),
+        band=MultiplicativeBand(band), restart=True, stacked=stacked,
+    )
+
+
+def _trace_items(est, items):
+    trace = []
+    for item in items:
+        est.update(int(item))
+        trace.append((est.query(), est.switches))
+    return trace
+
+
+def _trace_source(est, source):
+    trace = []
+    with SerialEngine().session(est, source=source) as session:
+        mode = session.source_mode
+        for chunk in source.chunks():
+            session.feed(chunk.items, chunk.deltas)
+            trace.append((session.query(), est.switches))
+    return trace, mode
+
+
+growing = st.lists(st.integers(0, 2000), min_size=150, max_size=900)
+
+
+class TestStackedKMVEquivalence:
+    """KMV copy groups stack; every path must match the object twin."""
+
+    def test_kmv_groups_stack(self):
+        assert _kmv_ring(True)._copies.stacks
+        assert not _kmv_ring(False)._copies.stacks
+        assert len(_kmv_ladder(True)._copies.stacks) == 2
+
+    @settings(max_examples=8, deadline=None)
+    @given(items=growing)
+    def test_ring_per_item(self, items):
+        t1 = _trace_items(_kmv_ring(True), items)
+        t0 = _trace_items(_kmv_ring(False), items)
+        assert t1 == t0
+
+    @settings(max_examples=8, deadline=None)
+    @given(items=growing, chunk=st.sampled_from([37, 130]))
+    def test_ring_per_item_then_chunked(self, items, chunk):
+        """Per-item updates write the templates' own rows before the
+        stack first adopts them into its block."""
+        half = len(items) // 2
+        traces = []
+        for stacked in (True, False):
+            est = _kmv_ring(stacked)
+            trace = _trace_items(est, items[:half])
+            traces.append(trace + _trace_chunked(est, items[half:], chunk))
+        assert traces[0] == traces[1]
+
+    @settings(max_examples=12, deadline=None)
+    @given(items=growing, chunk=st.sampled_from([37, 130, 400]))
+    def test_ring_chunked(self, items, chunk):
+        a, b = _kmv_ring(True), _kmv_ring(False)
+        t1 = _trace_chunked(a, items, chunk)
+        assert t1 == _trace_chunked(b, items, chunk)
+        # KMV state is exact, so the chunked path also lands on the
+        # per-item path's published value and switch count.
+        c = _kmv_ring(False)
+        _trace_items(c, items)
+        assert (a.query(), a.switches) == (c.query(), c.switches)
+
+    @settings(max_examples=10, deadline=None)
+    @given(items=growing, chunk=st.sampled_from([64, 200]))
+    def test_ring_serial_engine_seen_filter(self, items, chunk):
+        assert plan_shards(_kmv_ring(True)).hoists.filter_duplicates
+        t1 = _trace_engine(_kmv_ring(True), items, chunk, SerialEngine())
+        t0 = _trace_engine(_kmv_ring(False), items, chunk, SerialEngine())
+        assert t1 == t0
+
+    @settings(max_examples=10, deadline=None)
+    @given(items=growing, chunk=st.sampled_from([50, 160, 320]))
+    def test_private_aggregate(self, items, chunk):
+        """All-copy probes read ``query_all``; a tiny SVT budget forces
+        whole-set retirement mid-stream."""
+        a, b = _kmv_dp(True, budget=2), _kmv_dp(False, budget=2)
+        t1 = _trace_chunked(a, items, chunk)
+        assert t1 == _trace_chunked(b, items, chunk)
+        assert a.discipline.generations == b.discipline.generations
+
+    @settings(max_examples=8, deadline=None)
+    @given(items=growing, chunk=st.sampled_from([64, 220]))
+    def test_difference_ladder(self, items, chunk):
+        a, b = _kmv_ladder(True), _kmv_ladder(False)
+        t1 = _trace_chunked(a, items, chunk)
+        assert t1 == _trace_chunked(b, items, chunk)
+        assert a.discipline.strong_charges == b.discipline.strong_charges
+
+    @needs_fork
+    @settings(max_examples=4, deadline=None)
+    @given(items=growing, chunk=st.sampled_from([64, 200]))
+    def test_process_engine_unstack_restack(self, items, chunk):
+        engine = ProcessEngine(workers=2)
+        est = _kmv_ring(True)
+        t1 = _trace_engine(est, items, chunk, engine)
+        assert est._copies.stacks  # restacked after the workers' collect
+        t0 = _trace_engine(_kmv_ring(False), items, chunk, engine)
+        t2 = _trace_engine(_kmv_ring(True), items, chunk, SerialEngine())
+        assert t1 == t0 == t2
+
+
+class TestReplacedCopyColumns:
+    """A copy replaced mid-chunk brings new hash functions; prepared
+    columns cached before the replacement must not keep feeding it the
+    burned copy's hashes.  CountSketch's F2 query reads the hashed
+    table, so stale columns change published values and switch counts
+    (CountMin's F1 query cannot see them)."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        items=st.lists(st.integers(0, 300), min_size=300, max_size=1500),
+        chunk=st.sampled_from([130, 512, 1500]),
+    )
+    def test_countsketch_ring_chunked(self, items, chunk):
+        t1 = _trace_chunked(_cs_ring(True), items, chunk)
+        t0 = _trace_chunked(_cs_ring(False), items, chunk)
+        assert t1 == t0
+
+    def test_countsketch_ring_regression(self):
+        items = np.random.default_rng(0).integers(0, 2000, 8192)
+        a, b = _cs_ring(True, copies=8), _cs_ring(False, copies=8)
+        assert _trace_chunked(a, items, 4096) == _trace_chunked(b, items, 4096)
+        assert a.switches > 50  # many mid-chunk replacements
+
+    def test_countsketch_ring_universe_path(self):
+        source = GeneratorChunkSource(
+            "uniform", n=500, m=4096, seed=0, chunk_size=2048
+        )
+        t1, mode = _trace_source(_cs_ring(True, copies=8, band=0.3), source)
+        assert mode == "universe"
+        t0, twin_mode = _trace_source(
+            _cs_ring(False, copies=8, band=0.3), source
+        )
+        assert twin_mode.startswith("bytes")
         assert t1 == t0
