@@ -1,62 +1,64 @@
-"""PARALLEL — the execution-engine throughput gate (ISSUE 2 tentpole,
-extended with the ISSUE 3 additive/entropy band case).
+"""PARALLEL — the execution-engine throughput gates, one test per row family.
 
-Replays the same 1M-update oblivious uniform stream through the robust
-sketch-switching distinct-elements estimator three ways:
+Every family replays one oblivious stream through the engines and
+asserts bit-for-bit equivalence (identical published outputs and switch
+counts) and its speed gate.  Each family is its own test and emits its
+own ``out/parallel_<family>.{txt,json}`` payload only once every assert
+has passed, so a failed gate blanks only that family's rows.
+``run_all.py`` runs this file with ``pytest -x``, so the process-engine
+families come last: the serial rows CI requires are written before any
+process gate can stop the session.
 
-* **PR 1 serial batched** — the ``update_batch`` path this engine is
-  measured against (the `BENCH_ingest.json` robust-switching baseline);
-* **SerialEngine** — same process, with the shard plan's shared-work
-  hoists (chunk deduped once, first-occurrence filtering over the
-  duplicate-insensitive KMV copies);
-* **ProcessEngine(>=4 workers)** — copies sharded across forked workers
-  over shared-memory chunk buffers.
+Families, in run order:
 
-Asserts bit-for-bit equivalence (identical published outputs and switch
-counts) across all three, and the acceptance gate: the process engine on
->= 4 workers is at least 2x the PR 1 serial batched path.
+* **engine** — the Theorem 5.1 robust KMV switching estimator over a
+  1M-update uniform stream: the serial batched ``update_batch`` path
+  (``pr1_serial_batched``, the baseline every ``speedup_vs_pr1`` column
+  of this family divides by) and :class:`SerialEngine` with the shard
+  plan's shared-work hoists (chunk deduped once, first-occurrence
+  filtering over the duplicate-insensitive KMV copies).
+* **entropy** — the Theorem 7.3 additive-band entropy tracker the same
+  two ways; the hoist is chunk aggregation (the Clifford–Cosma copies
+  consume a linear map of per-item delta sums).
+  ``entropy_engine_serial`` must be >= ``MIN_PARALLEL_SPEEDUP`` over the
+  batched path.
+* **stacked** — one F2 switching estimator over k CountSketch copies
+  under the DP aggregate discipline, per-object twin vs stacked copy
+  groups (one ``(k, rows, width)`` block, every chunk hashed once for
+  all planes); stacked must be >= ``MIN_STACKED_SPEEDUP`` over the twin.
+* **traced** — the stacked run again with full telemetry (every event to
+  a JSONL sink, ``out/trace_sample.jsonl``, plus the metrics registry):
+  identical outputs, at most ``MAX_TELEMETRY_OVERHEAD`` throughput cost.
+* **source** — the stacked run driven from a
+  :class:`~repro.streams.sources.GeneratorChunkSource`: its promised item
+  universe licenses the counts-based prepare fast path; the row
+  ``stacked_spec_engine_serial`` must be >= ``MIN_SPEC_SPEEDUP`` over the
+  stacked bytes row.
+* **store** — a CountMin replay from a columnar store with double
+  buffered prefetch, exact against in-memory ingestion.
+* **merge** — per-partial merge sharding (CountMin across workers),
+  exact against serial.
+* **entropy_process**, **engine_process** — the two switching families
+  on :class:`ProcessEngine` (copies sharded across forked workers over
+  shared-memory chunk buffers), each gated at >= ``MIN_PARALLEL_SPEEDUP``
+  over its batched baseline.
 
-The **entropy** case replays a uniform stream through the robust
-additive-band entropy tracker (Theorem 7.3) the same three ways — the
-additive band runs the identical switching protocol since the
-band-policy refactor, so the engine covers it too.  Here the shared-work
-hoist is chunk aggregation (the Clifford–Cosma copies consume a linear
-map of per-distinct-item delta sums, so the chunk is aggregated once for
-all copies instead of once per copy); equivalence is again exact, and
-the same >= 2x gate applies.  Also measures per-partial merge sharding
-(CountMin) and the columnar-store + prefetch replay path, asserting
-exactness for both.
-
-The **stacked** case (ISSUE 6 tentpole) runs one F2 switching estimator
-over k CountSketch copies twice — per-object twin vs stacked copy
-groups, where the group's counter tables live in one ``(k, rows, width)``
-block and every chunk is hashed once for all k planes.  Outputs and
-switch counts must be bit-for-bit identical; the stacked run must be at
-least 2x the twin.
-
-The **traced** case (ISSUE 7) repeats the stacked run with full
-telemetry — every switch, SVT charge, and band test streamed to a JSONL
-sink (``out/trace_sample.jsonl``, uploaded as a CI artifact) plus the
-metrics registry — asserting bit-for-bit identical outputs and at most
-``MAX_TELEMETRY_OVERHEAD`` throughput cost; the *disabled*-telemetry
-cost is covered by every other row, which runs with the no-op hub that
-is the default.
-
-Emits ``out/parallel_engine.{txt,json}``; ``run_all.py`` folds the JSON
-into ``BENCH_parallel.json`` at the repo root, and
-``benchmarks/check_regression.py`` gates CI on the speedup columns
-against the committed baseline.
+``benchmarks/check_regression.py`` gates CI on the ``speedup_vs_pr1``
+columns against the committed ``BENCH_parallel.json``.
 """
 
 import tempfile
 import time
 
 import numpy as np
+import pytest
 
+from repro.api import ingest, install_telemetry
 from repro.core.bands import MultiplicativeBand
 from repro.core.disciplines import PrivateAggregateDiscipline
 from repro.core.sketch_switching import SwitchingEstimator
 from repro.engine import ProcessEngine, SerialEngine, fork_available
+from repro.obs import JsonlSink, Telemetry
 from repro.robust.distinct import RobustDistinctElements
 from repro.robust.entropy import RobustEntropy
 from repro.sketches.countmin import CountMinSketch
@@ -97,9 +99,8 @@ STK_WIDTH = 256
 STK_ROWS = 5
 MIN_STACKED_SPEEDUP = 2.0
 
-# Spec-shipped chunk sources (ISSUE 8): driving the stacked DP workload
-# from a ChunkSource description instead of staged bytes must be at
-# least this much faster than the bytes-shipped stacked serial row.
+# Driving the stacked workload from a chunk source with a known item
+# universe must be at least this much faster than the stacked bytes row.
 MIN_SPEC_SPEEDUP = 1.3
 
 # Full tracing (every protocol event to a JSONL sink + live metrics) may
@@ -107,6 +108,10 @@ MIN_SPEC_SPEEDUP = 1.3
 # switch/boundary branches, never the per-item hot loop, so the bound is
 # loose headroom, not a target.
 MAX_TELEMETRY_OVERHEAD = 0.25
+
+needs_fork = pytest.mark.skipif(
+    not fork_available(), reason="process engine requires fork"
+)
 
 
 def _robust(seed=11):
@@ -147,309 +152,366 @@ def _run_engine(est, items, engine):
     return m / (time.perf_counter() - start)
 
 
-def test_parallel_engine_throughput(benchmark):
-    rng = np.random.default_rng(2024)
-    items = rng.integers(0, N, size=M)
+def _header():
+    return [format_row(
+        ("path", "items/s", "speedup", "switches", "err"), WIDTHS
+    )]
+
+
+def _emit(family, rows, payload, note):
+    payload["note"] = note
+    rows.append("")
+    rows.append(note)
+    emit(f"parallel_{family}", rows)
+    emit_json(f"parallel_{family}", payload)
+
+
+def _bench(benchmark, fn):
+    return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+# ----------------------------------------------------------------------
+# Shared inputs and baselines (measured once per session)
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def items():
+    return np.random.default_rng(2024).integers(0, N, size=M)
+
+
+@pytest.fixture(scope="module")
+def f0_truth(items):
     truth = FrequencyVector()
     truth.update_batch(items)
+    return truth.f0()
 
-    rows = [format_row(
-        ("path", "items/s", "speedup", "switches", "rel err"), WIDTHS
-    )]
-    payload = {
-        "n": N, "m": M, "chunk": CHUNK, "eps": EPS, "workers": WORKERS,
-        "entropy": {"n": ENT_N, "m": ENT_M, "eps": ENT_EPS,
-                    "copies": ENT_COPIES},
-        "results": {},
+
+@pytest.fixture(scope="module")
+def switching_baseline(items):
+    """The robust switching estimator on the serial batched path."""
+    est = _robust()
+    return _run_engine(est, items, None), est
+
+
+@pytest.fixture(scope="module")
+def ent_items():
+    return np.random.default_rng(77).integers(0, ENT_N, size=ENT_M)
+
+
+@pytest.fixture(scope="module")
+def ent_truth(ent_items):
+    truth = FrequencyVector()
+    truth.update_batch(ent_items)
+    return truth.shannon_entropy()
+
+
+@pytest.fixture(scope="module")
+def entropy_baseline(ent_items):
+    """The entropy tracker on the serial batched path."""
+    est = _robust_entropy()
+    return _run_engine(est, ent_items, None), est
+
+
+@pytest.fixture(scope="module")
+def stk_items():
+    return np.random.default_rng(11).integers(0, STK_N, size=STK_M)
+
+
+def _run_stacked(stacked, stk_items):
+    est = _stacked_switching(stacked)
+    start = time.perf_counter()
+    with SerialEngine().session(est) as session:
+        for lo in range(0, STK_M, CHUNK):
+            session.feed(stk_items[lo:lo + CHUNK])
+    rate = STK_M / (time.perf_counter() - start)
+    return rate, est, session.phase_seconds
+
+
+@pytest.fixture(scope="module")
+def stacked_runs(stk_items):
+    """Per-object twin, then stacked: {row name: (rate, est, phases)}."""
+    return {
+        "stacked_object_engine_serial": _run_stacked(False, stk_items),
+        "stacked_engine_serial": _run_stacked(True, stk_items),
     }
 
-    def run_all():
-        contenders = [("pr1_serial_batched", None),
-                      ("engine_serial", SerialEngine())]
-        if fork_available():
-            contenders.append(
-                (f"engine_process_{WORKERS}w", ProcessEngine(workers=WORKERS))
-            )
-        results = {}
-        for name, engine in contenders:
-            est = _robust()
-            rate = _run_engine(est, items, engine)
-            results[name] = (rate, est)
-            err = abs(est.query() - truth.f0()) / truth.f0()
-            speedup = rate / results["pr1_serial_batched"][0]
+
+@pytest.fixture(scope="module")
+def serial_countmin(items):
+    cm = CountMinSketch(2048, 5, np.random.default_rng(7))
+    start = time.perf_counter()
+    for lo in range(0, M, CHUNK):
+        cm.update_batch(items[lo:lo + CHUNK])
+    return M / (time.perf_counter() - start), cm
+
+
+# ----------------------------------------------------------------------
+# Switching row families
+# ----------------------------------------------------------------------
+
+
+def _switching_row(name, rate, base_rate, est, truth):
+    err = abs(est.query() - truth) / truth
+    speedup = rate / base_rate
+    return {
+        "items_per_sec": round(rate),
+        "speedup_vs_pr1": round(speedup, 2),
+        "switches": est.switches,
+        "final_estimate": round(est.query(), 1),
+        "final_relative_error": round(err, 4),
+    }, format_row((name, f"{rate:,.0f}", f"{speedup:.2f}x", est.switches,
+                   f"{err:.3f}"), WIDTHS)
+
+
+def _entropy_row(name, rate, base_rate, est, h_true):
+    err = abs(est.query() - h_true)
+    speedup = rate / base_rate
+    return {
+        "items_per_sec": round(rate),
+        "speedup_vs_pr1": round(speedup, 2),
+        "switches": est.switches,
+        "final_estimate": round(est.query(), 4),
+        "final_additive_error": round(err, 4),
+    }, format_row((name, f"{rate:,.0f}", f"{speedup:.2f}x", est.switches,
+                   f"{err:.3f}"), WIDTHS)
+
+
+def _switching_family(family, stream, base, contender, make, row_fn, truth,
+                      note, gated=False):
+    """Run one engine contender against a batched baseline; emit both rows.
+
+    ``base`` is ``(name, (rate, est))`` from the batched path and
+    ``contender`` is ``(name, engine)``.  The rows are emitted after the
+    contender matches the baseline estimator bit for bit and, when
+    ``gated``, runs at least ``MIN_PARALLEL_SPEEDUP`` x the baseline.
+    """
+    base_name, (base_rate, base_est) = base
+    name, engine = contender
+    est = make()
+    rate = _run_engine(est, stream, engine)
+    assert est.query() == base_est.query(), f"{name} diverged in output"
+    assert est.switches == base_est.switches, f"{name} switch count"
+    if gated:
+        assert rate / base_rate >= MIN_PARALLEL_SPEEDUP, (
+            f"{name} only {rate / base_rate:.2f}x over {base_name} "
+            f"(required >= {MIN_PARALLEL_SPEEDUP}x)"
+        )
+    rows, payload = _header(), {"results": {}}
+    for row_name, (row_rate, row_est) in ((base_name, (base_rate, base_est)),
+                                          (name, (rate, est))):
+        payload["results"][row_name], row = row_fn(
+            row_name, row_rate, base_rate, row_est, truth
+        )
+        rows.append(row)
+    _emit(family, rows, payload, note)
+
+
+ENGINE_NOTE = (
+    f"n={N}, m={M:,} uniform oblivious stream, chunk={CHUNK}, eps={EPS}; "
+    f"robust switching = Theorem 5.1 KMV ring"
+)
+ENTROPY_NOTE = (
+    f"entropy = Theorem 7.3 additive band, n={ENT_N}, m={ENT_M:,}, "
+    f"eps={ENT_EPS}, {ENT_COPIES} CC copies (err column is additive)"
+)
+
+
+def test_switching_engine_serial(benchmark, items, f0_truth,
+                                 switching_baseline):
+    def run():
+        _switching_family(
+            "engine", items, ("pr1_serial_batched", switching_baseline),
+            ("engine_serial", SerialEngine()), _robust, _switching_row,
+            f0_truth, ENGINE_NOTE,
+        )
+
+    _bench(benchmark, run)
+
+
+def test_entropy_engine_serial(benchmark, ent_items, ent_truth,
+                               entropy_baseline):
+    def run():
+        _switching_family(
+            "entropy", ent_items,
+            ("entropy_pr1_serial_batched", entropy_baseline),
+            ("entropy_engine_serial", SerialEngine()), _robust_entropy,
+            _entropy_row, ent_truth, ENTROPY_NOTE,
+            gated=True,
+        )
+
+    _bench(benchmark, run)
+
+
+# ----------------------------------------------------------------------
+# Stacked copy groups, traced, and chunk-source rows
+# ----------------------------------------------------------------------
+
+
+STACKED_NOTE = (
+    f"stacked = F2 switching over {STK_COPIES} CountSketch"
+    f"({STK_WIDTH}x{STK_ROWS}) copies, n={STK_N}, m={STK_M:,}, DP "
+    f"aggregate discipline, speedup vs the per-object twin"
+)
+
+
+def test_stacked_groups(benchmark, stacked_runs):
+    # The same F2 switching estimator twice — per-object twin, then
+    # stacked — over one stream.  One shared hash pass feeds and probes
+    # all copies on the stacked path; outputs must be bit-for-bit
+    # identical and the stacked run at least MIN_STACKED_SPEEDUP x the
+    # twin.
+    def run():
+        object_rate = stacked_runs["stacked_object_engine_serial"][0]
+        rows, payload = _header(), {"results": {}}
+        for name, (rate, est, phases) in stacked_runs.items():
+            speedup = rate / object_rate
             payload["results"][name] = {
                 "items_per_sec": round(rate),
                 "speedup_vs_pr1": round(speedup, 2),
                 "switches": est.switches,
                 "final_estimate": round(est.query(), 1),
-                "final_relative_error": round(err, 4),
-            }
-            rows.append(format_row(
-                (name, f"{rate:,.0f}", f"{speedup:.2f}x", est.switches,
-                 f"{err:.3f}"), WIDTHS,
-            ))
-
-        # The engines must be *equivalent*, not just fast: identical
-        # published outputs and switch counts.
-        base = results["pr1_serial_batched"][1]
-        for name, (_, est) in results.items():
-            assert est.query() == base.query(), f"{name} diverged in output"
-            assert est.switches == base.switches, f"{name} switch count"
-        if fork_available():
-            speedup = (
-                results[f"engine_process_{WORKERS}w"][0]
-                / results["pr1_serial_batched"][0]
-            )
-            assert speedup >= MIN_PARALLEL_SPEEDUP, (
-                f"process engine only {speedup:.2f}x over the PR 1 serial "
-                f"batched path (required >= {MIN_PARALLEL_SPEEDUP}x)"
-            )
-
-        # Additive band (entropy): same protocol, same engines, same gate.
-        ent_items = np.random.default_rng(77).integers(0, ENT_N, size=ENT_M)
-        ent_truth = FrequencyVector()
-        ent_truth.update_batch(ent_items)
-        h_true = ent_truth.shannon_entropy()
-        ent_contenders = [("entropy_pr1_serial_batched", None),
-                          ("entropy_engine_serial", SerialEngine())]
-        if fork_available():
-            ent_contenders.append((
-                f"entropy_engine_process_{WORKERS}w",
-                ProcessEngine(workers=WORKERS),
-            ))
-        ent_results = {}
-        for name, engine in ent_contenders:
-            est = _robust_entropy()
-            rate = _run_engine(est, ent_items, engine)
-            ent_results[name] = (rate, est)
-            speedup = rate / ent_results["entropy_pr1_serial_batched"][0]
-            payload["results"][name] = {
-                "items_per_sec": round(rate),
-                "speedup_vs_pr1": round(speedup, 2),
-                "switches": est.switches,
-                "final_estimate": round(est.query(), 4),
-                "final_additive_error": round(abs(est.query() - h_true), 4),
-            }
-            rows.append(format_row(
-                (name, f"{rate:,.0f}", f"{speedup:.2f}x", est.switches,
-                 f"{abs(est.query() - h_true):.3f}"), WIDTHS,
-            ))
-        ent_base = ent_results["entropy_pr1_serial_batched"][1]
-        for name, (_, est) in ent_results.items():
-            assert est.query() == ent_base.query(), f"{name} diverged"
-            assert est.switches == ent_base.switches, f"{name} switch count"
-        for name, (rate, _) in ent_results.items():
-            if name == "entropy_pr1_serial_batched":
-                continue
-            speedup = rate / ent_results["entropy_pr1_serial_batched"][0]
-            assert speedup >= MIN_PARALLEL_SPEEDUP, (
-                f"{name} only {speedup:.2f}x over the entropy PR 1 serial "
-                f"batched path (required >= {MIN_PARALLEL_SPEEDUP}x)"
-            )
-
-        # Stacked copy groups (ISSUE 6): the same F2 switching estimator
-        # twice — per-object twin, then stacked — over one stream.  One
-        # shared hash pass feeds and probes all copies on the stacked
-        # path; outputs must be bit-for-bit identical and the stacked
-        # run at least MIN_STACKED_SPEEDUP x the twin.
-        stk_items = np.random.default_rng(11).integers(0, STK_N, size=STK_M)
-        stk_results = {}
-        for name, stacked in (("stacked_object_engine_serial", False),
-                              ("stacked_engine_serial", True)):
-            est = _stacked_switching(stacked)
-            start = time.perf_counter()
-            with SerialEngine().session(est) as session:
-                for lo in range(0, STK_M, CHUNK):
-                    session.feed(stk_items[lo:lo + CHUNK])
-                phases = session.phase_seconds
-            rate = STK_M / (time.perf_counter() - start)
-            stk_results[name] = (rate, est)
-            speedup = rate / stk_results["stacked_object_engine_serial"][0]
-            payload["results"][name] = {
-                "items_per_sec": round(rate),
-                "speedup_vs_pr1": round(speedup, 2),
-                "switches": est.switches,
-                "final_estimate": round(est.query(), 1),
-                "phase_seconds": {k: round(v, 3)
-                                  for k, v in phases.items()},
+                "phase_seconds": {k: round(v, 3) for k, v in phases.items()},
             }
             rows.append(format_row(
                 (name, f"{rate:,.0f}", f"{speedup:.2f}x", est.switches,
                  "-"), WIDTHS,
             ))
-        stk_base = stk_results["stacked_object_engine_serial"][1]
-        stk_est = stk_results["stacked_engine_serial"][1]
-        assert stk_est.query() == stk_base.query(), (
+        base = stacked_runs["stacked_object_engine_serial"][1]
+        rate, est, _ = stacked_runs["stacked_engine_serial"]
+        assert est.query() == base.query(), (
             "stacked copy groups diverged from the per-object twin"
         )
-        assert stk_est.switches == stk_base.switches, (
+        assert est.switches == base.switches, (
             "stacked copy groups changed the switch count"
         )
-        stk_speedup = (
-            stk_results["stacked_engine_serial"][0]
-            / stk_results["stacked_object_engine_serial"][0]
-        )
-        assert stk_speedup >= MIN_STACKED_SPEEDUP, (
-            f"stacked copy groups only {stk_speedup:.2f}x over the "
+        speedup = rate / object_rate
+        assert speedup >= MIN_STACKED_SPEEDUP, (
+            f"stacked copy groups only {speedup:.2f}x over the "
             f"per-object twin (required >= {MIN_STACKED_SPEEDUP}x)"
         )
+        _emit("stacked", rows, payload, STACKED_NOTE)
 
-        # Telemetry overhead (ISSUE 7): the same stacked DP workload once
-        # more with *full tracing* — every protocol event streamed to a
-        # JSONL sink plus the metrics registry — must stay within
-        # MAX_TELEMETRY_OVERHEAD of the untraced stacked run and produce
-        # bit-for-bit identical outputs.  (The disabled-telemetry cost is
-        # gated implicitly: every other row in this file runs with the
-        # NULL_TELEMETRY default, and check_regression.py holds those
-        # rows to the committed baseline.)
-        from repro.api import install_telemetry
-        from repro.obs import JsonlSink, Telemetry
+    _bench(benchmark, run)
 
+
+def test_stacked_traced(benchmark, stk_items, stacked_runs):
+    # The stacked DP workload once more with *full tracing* — every
+    # protocol event streamed to a JSONL sink plus the metrics registry
+    # — must stay within MAX_TELEMETRY_OVERHEAD of the untraced stacked
+    # run and produce bit-for-bit identical outputs.  (The
+    # disabled-telemetry cost is gated implicitly: every other row runs
+    # with the NULL_TELEMETRY default, and check_regression.py holds
+    # those rows to the committed baseline.)
+    def run():
+        object_rate = stacked_runs["stacked_object_engine_serial"][0]
+        stk_rate, stk_est, _ = stacked_runs["stacked_engine_serial"]
         trace_path = str(OUT_DIR / "trace_sample.jsonl")
-        traced_est = _stacked_switching(True)
+        OUT_DIR.mkdir(exist_ok=True)
+        est = _stacked_switching(True)
         tele = Telemetry(sinks=[JsonlSink(trace_path)])
-        install_telemetry(traced_est, tele)
+        install_telemetry(est, tele)
         start = time.perf_counter()
-        with SerialEngine().session(traced_est) as session:
+        with SerialEngine().session(est) as session:
             for lo in range(0, STK_M, CHUNK):
                 session.feed(stk_items[lo:lo + CHUNK])
-        traced_rate = STK_M / (time.perf_counter() - start)
+        rate = STK_M / (time.perf_counter() - start)
         tele.close()
-        assert traced_est.query() == stk_est.query(), (
+        overhead = stk_rate / rate - 1.0
+        speedup = rate / object_rate
+        rows, payload = _header(), {"results": {
+            "stacked_traced_engine_serial": {
+                "items_per_sec": round(rate),
+                "speedup_vs_pr1": round(speedup, 2),
+                "switches": est.switches,
+                "final_estimate": round(est.query(), 1),
+                "tracing_overhead": round(overhead, 4),
+                "trace_events": sum(tele.event_counts.values()),
+                "trace_path": trace_path,
+            },
+        }}
+        rows.append(format_row(
+            ("stacked_traced_engine_serial", f"{rate:,.0f}",
+             f"{speedup:.2f}x", est.switches, "-"), WIDTHS,
+        ))
+        assert est.query() == stk_est.query(), (
             "tracing changed the stacked estimator's output"
         )
-        assert traced_est.switches == stk_est.switches, (
+        assert est.switches == stk_est.switches, (
             "tracing changed the stacked estimator's switch count"
         )
-        overhead = stk_results["stacked_engine_serial"][0] / traced_rate - 1.0
         assert overhead <= MAX_TELEMETRY_OVERHEAD, (
             f"full tracing cost {overhead:.1%} over the untraced stacked "
             f"run (bound {MAX_TELEMETRY_OVERHEAD:.0%})"
         )
-        traced_speedup = (
-            traced_rate / stk_results["stacked_object_engine_serial"][0]
-        )
-        payload["results"]["stacked_traced_engine_serial"] = {
-            "items_per_sec": round(traced_rate),
-            "speedup_vs_pr1": round(traced_speedup, 2),
-            "switches": traced_est.switches,
-            "final_estimate": round(traced_est.query(), 1),
-            "tracing_overhead": round(overhead, 4),
-            "trace_events": sum(tele.event_counts.values()),
-            "trace_path": trace_path,
-        }
-        rows.append(format_row(
-            ("stacked_traced_engine_serial", f"{traced_rate:,.0f}",
-             f"{traced_speedup:.2f}x", traced_est.switches, "-"), WIDTHS,
-        ))
+        _emit("traced", rows, payload, STACKED_NOTE + "; full JSONL tracing")
 
-        # Spec-shipped chunk sources (ISSUE 8): the same stacked DP
-        # workload, driven from a ChunkSource *description* of the
-        # stream instead of staged bytes.  Serial: the source's declared
-        # item universe licenses the counts-based prepare fast path
-        # (one bincount over the chunk + a column gather at the
-        # support, instead of hashing every update).  Process: the
-        # picklable spec is broadcast once and every worker regenerates
-        # its own chunks — the per-chunk shared-memory copy, staging
-        # barrier, and coordinator generation loop all disappear.
-        # Outputs, switch counts, and DP budget state must be
-        # bit-for-bit identical to the bytes-shipped rows.
-        spec_src = GeneratorChunkSource(
+    _bench(benchmark, run)
+
+
+def test_stacked_chunk_source(benchmark, stacked_runs):
+    # The stacked DP workload driven from a ChunkSource: the source's
+    # declared item universe licenses the counts-based prepare fast
+    # path (one bincount over the chunk + a column gather at the
+    # support, instead of hashing every update).  Outputs, switch
+    # counts, and DP budget state must be bit-for-bit identical to the
+    # stacked bytes row.
+    def run():
+        object_rate = stacked_runs["stacked_object_engine_serial"][0]
+        stk_rate, stk_est, _ = stacked_runs["stacked_engine_serial"]
+        src = GeneratorChunkSource(
             "uniform", n=STK_N, m=STK_M, seed=11, chunk_size=CHUNK
         )
-        stk_object_rate = stk_results["stacked_object_engine_serial"][0]
-        spec_est = _stacked_switching(True)
+        est = _stacked_switching(True)
         start = time.perf_counter()
-        with SerialEngine().session(spec_est, source=spec_src) as session:
+        with SerialEngine().session(est, source=src) as session:
             assert session.source_mode == "universe", session.source_mode
-            session.feed_source(spec_src)
-        spec_rate = STK_M / (time.perf_counter() - start)
-        assert spec_est.query() == stk_est.query(), (
-            "spec-shipped serial diverged from the bytes-shipped output"
-        )
-        assert spec_est.switches == stk_est.switches, (
-            "spec-shipped serial changed the switch count"
-        )
-        assert (spec_est.discipline.budget_state()
-                == stk_est.discipline.budget_state()), (
-            "spec-shipped serial changed the DP budget state"
-        )
-        spec_vs_bytes = spec_rate / stk_results["stacked_engine_serial"][0]
-        payload["results"]["stacked_spec_engine_serial"] = {
-            "items_per_sec": round(spec_rate),
-            "speedup_vs_pr1": round(spec_rate / stk_object_rate, 2),
-            "speedup_vs_bytes": round(spec_vs_bytes, 2),
-            "switches": spec_est.switches,
-            "final_estimate": round(spec_est.query(), 1),
-        }
-        rows.append(format_row(
-            ("stacked_spec_engine_serial", f"{spec_rate:,.0f}",
-             f"{spec_rate / stk_object_rate:.2f}x", spec_est.switches,
-             "-"), WIDTHS,
-        ))
-        assert spec_vs_bytes >= MIN_SPEC_SPEEDUP, (
-            f"spec-shipped serial only {spec_vs_bytes:.2f}x over the "
-            f"bytes-shipped stacked row (required >= {MIN_SPEC_SPEEDUP}x)"
-        )
-        if fork_available():
-            spec_proc = _stacked_switching(True)
-            start = time.perf_counter()
-            with ProcessEngine(workers=WORKERS).session(
-                spec_proc, source=spec_src
-            ) as session:
-                assert session.spec_shipped, "spec mode did not engage"
-                assert session.source_mode == "spec"
-                session.feed_source(spec_src)
-            proc_spec_rate = STK_M / (time.perf_counter() - start)
-            assert spec_proc.query() == stk_est.query(), (
-                "spec-shipped process diverged from the bytes-shipped output"
-            )
-            assert spec_proc.switches == stk_est.switches, (
-                "spec-shipped process changed the switch count"
-            )
-            assert (spec_proc.discipline.budget_state()
-                    == stk_est.discipline.budget_state()), (
-                "spec-shipped process changed the DP budget state"
-            )
-            payload["results"][f"stacked_spec_engine_process_{WORKERS}w"] = {
-                "items_per_sec": round(proc_spec_rate),
-                "speedup_vs_pr1": round(proc_spec_rate / stk_object_rate, 2),
-                "speedup_vs_bytes": round(
-                    proc_spec_rate / stk_results["stacked_engine_serial"][0],
-                    2,
-                ),
-                "switches": spec_proc.switches,
-                "final_estimate": round(spec_proc.query(), 1),
-            }
-            rows.append(format_row(
-                (f"stacked_spec_engine_process_{WORKERS}w",
-                 f"{proc_spec_rate:,.0f}",
-                 f"{proc_spec_rate / stk_object_rate:.2f}x",
-                 spec_proc.switches, "-"), WIDTHS,
-            ))
-
-        # Per-partial merge sharding: CountMin across workers, exact table.
-        serial_cm = CountMinSketch(2048, 5, np.random.default_rng(7))
-        start = time.perf_counter()
-        for lo in range(0, M, CHUNK):
-            serial_cm.update_batch(items[lo:lo + CHUNK])
-        serial_rate = M / (time.perf_counter() - start)
-        if fork_available():
-            merged_cm = CountMinSketch(2048, 5, np.random.default_rng(7))
-            rate = _run_engine(merged_cm, items, ProcessEngine(workers=WORKERS))
-            assert np.array_equal(serial_cm._table, merged_cm._table), (
-                "merged CountMin table diverged from serial"
-            )
-            payload["results"]["countmin_merge_shards"] = {
+            for chunk in src.chunks():
+                session.feed(chunk.items, chunk.deltas)
+        rate = STK_M / (time.perf_counter() - start)
+        vs_bytes = rate / stk_rate
+        rows, payload = _header(), {"results": {
+            "stacked_spec_engine_serial": {
                 "items_per_sec": round(rate),
-                "speedup_vs_serial": round(rate / serial_rate, 2),
-            }
-            rows.append(format_row(
-                ("countmin merge shards", f"{rate:,.0f}",
-                 f"{rate / serial_rate:.2f}x", "-", "exact"), WIDTHS,
-            ))
+                "speedup_vs_pr1": round(rate / object_rate, 2),
+                "speedup_vs_bytes": round(vs_bytes, 2),
+                "switches": est.switches,
+                "final_estimate": round(est.query(), 1),
+            },
+        }}
+        rows.append(format_row(
+            ("stacked_spec_engine_serial", f"{rate:,.0f}",
+             f"{rate / object_rate:.2f}x", est.switches, "-"), WIDTHS,
+        ))
+        assert est.query() == stk_est.query(), (
+            "universe fast path diverged from the stacked bytes output"
+        )
+        assert est.switches == stk_est.switches, (
+            "universe fast path changed the switch count"
+        )
+        assert (est.discipline.budget_state()
+                == stk_est.discipline.budget_state()), (
+            "universe fast path changed the DP budget state"
+        )
+        assert vs_bytes >= MIN_SPEC_SPEEDUP, (
+            f"universe fast path only {vs_bytes:.2f}x over the stacked "
+            f"bytes row (required >= {MIN_SPEC_SPEEDUP}x)"
+        )
+        _emit("source", rows, payload,
+              STACKED_NOTE + "; chunks from a GeneratorChunkSource on the "
+              "universe fast path")
 
-        # Columnar store + double-buffered prefetch replay.
+    _bench(benchmark, run)
+
+
+# ----------------------------------------------------------------------
+# CountMin: columnar store replay, merge shards
+# ----------------------------------------------------------------------
+
+
+def test_columnar_store_replay(benchmark, items, serial_countmin):
+    def run():
+        _, serial_cm = serial_countmin
         with tempfile.TemporaryDirectory() as tmp:
             store = write_stream(
                 tmp + "/stream", StreamChunk.insertions(items),
@@ -457,33 +519,86 @@ def test_parallel_engine_throughput(benchmark):
             )
             reader_cm = CountMinSketch(2048, 5, np.random.default_rng(7))
             start = time.perf_counter()
-            from repro.api import ingest
             report = ingest(reader_cm, store, chunk_size=CHUNK, prefetch=2)
             rate = M / (time.perf_counter() - start)
-            assert report.updates == M
-            assert np.array_equal(serial_cm._table, reader_cm._table), (
-                "columnar replay diverged from in-memory ingestion"
-            )
-            payload["results"]["columnar_store_replay"] = {
-                "items_per_sec": round(rate),
-            }
-            rows.append(format_row(
-                ("columnar store + prefetch", f"{rate:,.0f}", "-", "-",
-                 "exact"), WIDTHS,
-            ))
-        return payload
+        assert report.updates == M
+        assert np.array_equal(serial_cm._table, reader_cm._table), (
+            "columnar replay diverged from in-memory ingestion"
+        )
+        rows = _header()
+        rows.append(format_row(
+            ("columnar store + prefetch", f"{rate:,.0f}", "-", "-",
+             "exact"), WIDTHS,
+        ))
+        _emit("store", rows,
+              {"results": {"columnar_store_replay": {
+                  "items_per_sec": round(rate)}}},
+              f"CountMin(2048x5), n={N}, m={M:,}, chunk={CHUNK}, "
+              f"prefetch=2")
 
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-    rows.append("")
-    rows.append(
-        f"n={N}, m={M:,} uniform oblivious stream, chunk={CHUNK}, "
-        f"eps={EPS}; robust switching = Theorem 5.1 KMV ring; "
-        f"process engine = {WORKERS} forked workers over shared memory; "
-        f"entropy = Theorem 7.3 additive band, n={ENT_N}, m={ENT_M:,}, "
-        f"eps={ENT_EPS}, {ENT_COPIES} CC copies (err column is additive); "
-        f"stacked = F2 switching over {STK_COPIES} CountSketch"
-        f"({STK_WIDTH}x{STK_ROWS}) copies, n={STK_N}, m={STK_M:,}, DP "
-        f"aggregate discipline, speedup vs the per-object twin"
-    )
-    emit("parallel_engine", rows)
-    emit_json("parallel_engine", payload)
+    _bench(benchmark, run)
+
+
+@needs_fork
+def test_countmin_merge_shards(benchmark, items, serial_countmin):
+    def run():
+        serial_rate, serial_cm = serial_countmin
+        merged_cm = CountMinSketch(2048, 5, np.random.default_rng(7))
+        rate = _run_engine(merged_cm, items, ProcessEngine(workers=WORKERS))
+        assert np.array_equal(serial_cm._table, merged_cm._table), (
+            "merged CountMin table diverged from serial"
+        )
+        rows = _header()
+        rows.append(format_row(
+            ("countmin merge shards", f"{rate:,.0f}",
+             f"{rate / serial_rate:.2f}x", "-", "exact"), WIDTHS,
+        ))
+        _emit("merge", rows,
+              {"results": {"countmin_merge_shards": {
+                  "items_per_sec": round(rate),
+                  "speedup_vs_serial": round(rate / serial_rate, 2)}}},
+              f"CountMin(2048x5) partials on {WORKERS} forked workers, "
+              f"speedup vs serial update_batch")
+
+    _bench(benchmark, run)
+
+
+# ----------------------------------------------------------------------
+# Process-engine switching rows (last: their gates may stop the session)
+# ----------------------------------------------------------------------
+
+
+@needs_fork
+def test_entropy_engine_process(benchmark, ent_items, ent_truth,
+                                entropy_baseline):
+    name = f"entropy_engine_process_{WORKERS}w"
+
+    def run():
+        _switching_family(
+            "entropy_process", ent_items,
+            ("entropy_pr1_serial_batched", entropy_baseline),
+            (name, ProcessEngine(workers=WORKERS)), _robust_entropy,
+            _entropy_row, ent_truth,
+            ENTROPY_NOTE + f"; {WORKERS} forked workers",
+            gated=True,
+        )
+
+    _bench(benchmark, run)
+
+
+@needs_fork
+def test_switching_engine_process(benchmark, items, f0_truth,
+                                  switching_baseline):
+    name = f"engine_process_{WORKERS}w"
+
+    def run():
+        _switching_family(
+            "engine_process", items,
+            ("pr1_serial_batched", switching_baseline),
+            (name, ProcessEngine(workers=WORKERS)), _robust, _switching_row,
+            f0_truth,
+            ENGINE_NOTE + f"; {WORKERS} forked workers over shared memory",
+            gated=True,
+        )
+
+    _bench(benchmark, run)

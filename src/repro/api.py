@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.disciplines import resolve_discipline
 from repro.engine.executor import resolve_engine
-from repro.engine.prefetch import prefetch_chunks, source_chunks
+from repro.engine.prefetch import prefetch_chunks
 from repro.engine.shards import EpochShardPlan, SwitchingShardPlan, plan_shards
 from repro.obs import NULL_TELEMETRY, PlannerFallbackEvent, resolve_telemetry
 from repro.robust.bounded_deletion import RobustBoundedDeletionFp
@@ -211,15 +211,11 @@ class IngestReport:
     #: "worker_feed", "worker_replace" — rather than folding them into
     #: the coordinator phases, which would double-count the blocking
     #: probe time; the worker keys are where fire-and-forget feed work
-    #: actually shows up.  Spec-shipped sessions add "worker_generate"
-    #: (chunk materialization inside the workers) under the same
-    #: rule — never summed into a coordinator key, because worker
-    #: generation overlaps coordinator wall time entirely.
+    #: actually shows up.
     phase_seconds: dict | None = None
-    #: How a ``source=`` chunk source was executed — "spec" (spec
-    #: broadcast; workers materialized locally), "universe" (serial
-    #: counts-based fast path), or "bytes: <reason>" (coordinator-side
-    #: materialization, with the planner's reason) — or None when no
+    #: How a ``source=`` chunk source was executed — "universe" (serial
+    #: counts-based fast path) or "bytes: <reason>" (the ordinary
+    #: staged-bytes path, with the planner's reason) — or None when no
     #: chunk source drove the replay.
     source_mode: str | None = None
     #: Merged telemetry snapshot (metric values, event counts by kind,
@@ -364,18 +360,15 @@ def ingest(
     by default.
 
     ``source`` (mutually exclusive with ``stream``) replays a
-    :class:`repro.streams.sources.ChunkSource` — a *description* of the
-    stream (generator spec, or a store path plus row range) rather than
-    its bytes.  A parallel ProcessEngine switching session then ships
-    the picklable spec to the workers once and each worker materializes
-    its own chunks (regenerating via the seeded RNG tree, or memmapping
-    its own read-only store view): the per-chunk shared-memory copy and
-    wakeup disappear and generation overlaps compute inside the
-    workers.  Serial switching sessions use the source's declared item
-    universe for the counts-based fast path when the copy set licenses
-    it.  Everything else — plus ad-hoc iterables passed as ``source``,
-    and any replay teeing through ``spill_store`` — falls back to
-    coordinator-side materialization through the ordinary bytes path;
+    :class:`repro.streams.sources.ChunkSource` — a seeded generator, or
+    a store row range — or a store (path or
+    :class:`~repro.streams.store.ColumnarStreamStore`); a path that does
+    not open as a store raises.  Chunks are materialized on this process
+    and fed like any other stream.  Serial switching sessions use the
+    source's declared item universe for the counts-based fast path when
+    the copy set licenses it; every other session — process engines
+    included — plus ad-hoc iterables passed as ``source`` and any replay
+    teeing through ``spill_store`` take the ordinary bytes path.
     ``IngestReport.source_mode`` records which path ran and why.
     Applies to oblivious replay only, like the rest of this surface.
 
@@ -395,20 +388,15 @@ def ingest(
     if source is not None:
         src = as_chunk_source(source, chunk_size)
         if src is None:
-            # Ad-hoc iterable with no picklable description: replay it
-            # as a plain stream through the bytes path.
+            # Ad-hoc iterable: replay it as a plain stream.
             stream = source
             src_reason = (
-                f"{type(source).__name__} has no picklable chunk-source "
-                "spec; shipping bytes"
-            )
-        elif spill_store is not None:
-            # Teeing into a store needs every chunk coordinator-side
-            # anyway, which is exactly what spec-shipping removes.
-            src_reason = (
-                "spill_store tees chunks through the coordinator; "
+                f"{type(source).__name__} is not a chunk source; "
                 "shipping bytes"
             )
+        elif spill_store is not None:
+            # The tee needs every chunk as staged bytes.
+            src_reason = "spill_store tees every chunk; shipping bytes"
     resolved = resolve_engine(engine)
     wanted = resolve_discipline(discipline)
     if wanted is not None:
@@ -430,12 +418,11 @@ def ingest(
         spill_params = getattr(stream, "params", None)
 
     def make_chunk_iter():
-        # Built lazily so a spec-shipped session (which never
-        # materializes coordinator-side) doesn't spin up a prefetch
-        # producer for chunks nobody will read.
+        # Built lazily, once a session has opened, so a failed session
+        # open leaves no prefetch producer behind.
         if src is not None:
-            return source_chunks(src, depth=prefetch, telemetry=tele)
-        if hasattr(stream, "chunks") and not isinstance(stream, Sketch):
+            chunk_iter = src.chunks()
+        elif hasattr(stream, "chunks") and not isinstance(stream, Sketch):
             # Chunked sources (ColumnarStreamStore) slice themselves.
             chunk_iter = stream.chunks(chunk_size)
         else:
@@ -453,6 +440,22 @@ def ingest(
         )
     count = 0
     chunks = 0
+
+    def replay(feed):
+        nonlocal count, chunks
+        for chunk in make_chunk_iter():
+            if writer is not None:
+                writer.append(chunk.items, chunk.deltas)
+            feed(chunk.items, chunk.deltas)
+            if traced:
+                chunk_sizes.observe(len(chunk))
+            count += len(chunk)
+            chunks += 1
+
+    def traced_update_batch(items, deltas):
+        with tele.span("chunk"):
+            estimator.update_batch(items, deltas)
+
     mode = "direct"
     policy = None
     fallback = None
@@ -476,17 +479,8 @@ def ingest(
                         src_reason
                         or "direct path has no engine session; shipping bytes"
                     )
-                for chunk in make_chunk_iter():
-                    if writer is not None:
-                        writer.append(chunk.items, chunk.deltas)
-                    if traced:
-                        with tele.span("chunk"):
-                            estimator.update_batch(chunk.items, chunk.deltas)
-                        chunk_sizes.observe(len(chunk))
-                    else:
-                        estimator.update_batch(chunk.items, chunk.deltas)
-                    count += len(chunk)
-                    chunks += 1
+                replay(traced_update_batch if traced
+                       else estimator.update_batch)
             else:
                 session_src = src if src_reason is None else None
                 with resolved.session(estimator, source=session_src) as session:
@@ -496,25 +490,7 @@ def ingest(
                     source_mode = session.source_mode
                     if src_reason is not None:
                         source_mode = f"bytes: {src_reason}"
-                    if session.spec_shipped:
-                        # Workers materialize; the coordinator only
-                        # drives per-chunk advance commands.
-                        lengths = src.chunk_lengths()
-                        session.feed_source(src)
-                        for length in lengths:
-                            if traced:
-                                chunk_sizes.observe(length)
-                            count += length
-                            chunks += 1
-                    else:
-                        for chunk in make_chunk_iter():
-                            if writer is not None:
-                                writer.append(chunk.items, chunk.deltas)
-                            session.feed(chunk.items, chunk.deltas)
-                            if traced:
-                                chunk_sizes.observe(len(chunk))
-                            count += len(chunk)
-                            chunks += 1
+                    replay(session.feed)
                 # Read after the session has finalized: ProcessEngine
                 # worker phase timings only exist once collect() merged
                 # them on session exit.

@@ -13,7 +13,6 @@ from repro.core.bands import (
     AdditiveBand,
     BandPolicy,
     EpochBand,
-    L2Band,
     MultiplicativeBand,
     relative_within,
 )
@@ -52,13 +51,10 @@ from repro.core.ladder import (
 )
 from repro.core.rounding import RoundedSequence, num_rounded_values, round_to_power
 from repro.core.sketch_switching import (
-    AdditiveSwitchingEstimator,
     SketchExhaustedError,
-    SketchSwitchingEstimator,
     SwitchingEstimator,
     SwitchingProtocol,
     restart_ring_size,
-    within_band,
 )
 from repro.core.tracking import MedianTracker, median_copies, union_bound_delta
 
@@ -78,13 +74,11 @@ __all__ = [
     "dp_copy_count",
     "resolve_discipline",
     "EpochBand",
-    "L2Band",
     "LocalCopyBackend",
     "MultiplicativeBand",
     "SwitchingEstimator",
     "SwitchingProtocol",
     "relative_within",
-    "within_band",
     "ComputationPathsEstimator",
     "paths_log2_count",
     "required_delta0",
@@ -101,9 +95,7 @@ __all__ = [
     "RoundedSequence",
     "num_rounded_values",
     "round_to_power",
-    "AdditiveSwitchingEstimator",
     "SketchExhaustedError",
-    "SketchSwitchingEstimator",
     "restart_ring_size",
     "MedianTracker",
     "median_copies",

@@ -200,6 +200,3 @@ class EpochBand(BandPolicy):
         """Same clamp as the multiplicative band (monotone L2 track)."""
         return self.publish(max(0.0, estimate))
 
-
-#: The Section 6 construction tracks the L2 norm; alias for discoverability.
-L2Band = EpochBand

@@ -32,11 +32,11 @@ pieces:
   group at a checkpoint.
 
 :class:`SwitchingEstimator` composes ``band + copies + discipline`` into
-the paper's estimator; :class:`SketchSwitchingEstimator`
-(multiplicative) and :class:`AdditiveSwitchingEstimator` (additive)
-survive as thin aliases.  A new robustness scheme — DP aggregation over
-all copies, importance sampling — is one new :class:`BandPolicy` and/or
-one new :class:`~repro.core.disciplines.ProbeDiscipline`, not a fifth
+the paper's estimator: ``band=MultiplicativeBand(eps)`` (the default)
+for F0/Fp/L2, ``band=AdditiveBand(eps)`` for entropy.  A new robustness
+scheme — DP aggregation over all copies, importance sampling — is one
+new :class:`BandPolicy` and/or one new
+:class:`~repro.core.disciplines.ProbeDiscipline`, not a fifth
 hand-rolled loop (:mod:`repro.robust.dp` is the existence proof).
 
 Two copy-budget modes:
@@ -74,9 +74,11 @@ is reserved for oblivious replay.
 The parallel execution engine (:mod:`repro.engine`) runs the identical
 :class:`SwitchingProtocol` with the copies sharded across worker
 processes; because serial chunked ingestion and both engines share one
-drive loop, one band implementation, and one replacement-RNG derivation
-(:meth:`CopyManager.replacement_rng`, always called on the coordinator),
-their published outputs and switch counts agree by construction.
+drive loop, one switch-commit site (:meth:`SwitchingEstimator._commit_switch`,
+also used by the per-item path), one band implementation, and one
+replacement-RNG derivation (:meth:`CopyManager.replacement_rng`, always
+called on the coordinator), their published outputs and switch counts
+agree by construction.
 """
 
 from __future__ import annotations
@@ -86,12 +88,7 @@ import time
 
 import numpy as np
 
-from repro.core.bands import (
-    AdditiveBand,
-    BandPolicy,
-    MultiplicativeBand,
-    relative_within,
-)
+from repro.core.bands import BandPolicy, MultiplicativeBand
 from repro.core.copies import (
     CopyManager,
     LocalCopyBackend,
@@ -102,14 +99,11 @@ from repro.obs import BandTestEvent, SwitchEvent
 from repro.sketches.base import Sketch, SketchFactory, aggregate_batch, as_batch_arrays
 
 __all__ = [
-    "AdditiveSwitchingEstimator",
     "REPLAY_LEAF",
     "SketchExhaustedError",
-    "SketchSwitchingEstimator",
     "SwitchingEstimator",
     "SwitchingProtocol",
     "restart_ring_size",
-    "within_band",
 ]
 
 
@@ -124,15 +118,6 @@ def _unpack_chunk(items, deltas):
 #: bisected further; keeps recursion depth and snapshot count small while
 #: bounding the per-item work triggered by one switch.
 REPLAY_LEAF = 64
-
-
-def within_band(published: float, estimate: float, eps: float) -> bool:
-    """Is ``published`` inside ``(1 ± eps/2)`` of ``estimate``?
-
-    The Algorithm 1 switch predicate; kept as a convenience alias of
-    ``MultiplicativeBand(eps).within`` for existing callers.
-    """
-    return relative_within(published, estimate, eps / 2)
 
 
 def restart_ring_size(eps: float, constant: float = 2.0) -> int:
@@ -264,19 +249,6 @@ class SwitchingEstimator(Sketch):
         """The live copy list (tests and planners introspect it)."""
         return self._copies.sketches
 
-    @property
-    def _factory(self) -> SketchFactory:
-        return self._copies.factory
-
-    def _within_band(self, y: float) -> bool:
-        """Is the published value still covering the active estimate?"""
-        return self.band.within(self._published, y)
-
-    def _replacement_rng(self) -> np.random.Generator:
-        """Coordinator-side replacement seeding; see
-        :meth:`CopyManager.replacement_rng`."""
-        return self._copies.replacement_rng()
-
     # -- the per-item protocol -------------------------------------------
 
     def update(self, item: int, delta: int = 1) -> None:
@@ -285,22 +257,30 @@ class SwitchingEstimator(Sketch):
             s.update(item, delta)
         d = self.discipline
         y = d.decide(self._copies.estimate_all(d.probe_indices(self._copies)))
-        if self.band.within(self._published, y):
-            return
-        # Publish the rounded decision estimate, then apply the
-        # discipline's copy-lifecycle consequence (burn-and-advance for
-        # the active-copy discipline, budget accounting for DP).
+        if not self.band.within(self._published, y):
+            self._commit_switch(y)
+
+    def _commit_switch(self, y: float, replace=None, position=None) -> None:
+        """Publish the rounded decision estimate ``y`` and apply the
+        discipline's copy-lifecycle consequence (burn-and-advance for the
+        active-copy discipline, budget accounting for DP).
+
+        The one switch site of both the per-item path and
+        :class:`SwitchingProtocol`; called only on a crossing, so the
+        in-band hot path pays nothing for it (telemetry included).
+        ``replace`` installs rebuilt copies wherever the backend keeps
+        them; ``position`` is the crossing's offset within the chunk.
+        """
+        d = self.discipline
         self._published = d.publish(self.band, y)
         self.switches += 1
-        d.on_publish(self._copies, self.switches)
-        # Telemetry rides the switch branch only, so the in-band hot
-        # path (the overwhelming majority of updates) pays nothing.
+        d.on_publish(self._copies, self.switches, replace=replace)
         tele = self._copies.telemetry
         if tele.enabled:
             tele.emit(SwitchEvent(
                 published=self._published, estimate=y,
                 switches=self.switches, discipline=d.name,
-                band=self.band.name,
+                band=self.band.name, position=position,
             ))
             tele.metrics.counter(
                 "protocol_switches_total", "publications (copy switches)"
@@ -333,56 +313,6 @@ class SwitchingEstimator(Sketch):
 
     def space_bits(self) -> int:
         return sum(s.space_bits() for s in self._copies.sketches) + 128
-
-
-class SketchSwitchingEstimator(SwitchingEstimator):
-    """Algorithm 1 with the multiplicative ``(1 ± eps/2)`` band.
-
-    Back-compat alias of ``SwitchingEstimator(band=MultiplicativeBand)``
-    — the Theorem 4.1/5.1 configuration for F0/Fp/L2 tracking.
-    """
-
-    def __init__(
-        self,
-        factory: SketchFactory,
-        copies: int,
-        eps: float,
-        rng: np.random.Generator,
-        restart: bool = False,
-        on_exhausted: str = "raise",
-    ):
-        super().__init__(
-            factory, copies, eps, rng,
-            band=MultiplicativeBand(eps),
-            restart=restart, on_exhausted=on_exhausted,
-        )
-
-
-class AdditiveSwitchingEstimator(SwitchingEstimator):
-    """Sketch switching for *additively* tracked functions (entropy).
-
-    Back-compat alias of ``SwitchingEstimator(band=AdditiveBand)``: the
-    identical protocol with ``|published - estimate| <= eps/2`` and
-    rounding to multiples of ``eps/2``.  Used by the robust entropy
-    algorithm, where the paper's multiplicative machinery is applied to
-    ``g = 2^H`` — additive eps on H is exactly multiplicative
-    ``2^(±eps)`` on g, so the flip-number bound of Proposition 7.2
-    carries over.
-    """
-
-    def __init__(
-        self,
-        factory: SketchFactory,
-        copies: int,
-        eps: float,
-        rng: np.random.Generator,
-        on_exhausted: str = "raise",
-    ):
-        super().__init__(
-            factory, copies, eps, rng,
-            band=AdditiveBand(eps),
-            on_exhausted=on_exhausted,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -428,8 +358,6 @@ class SwitchingProtocol:
         self._seen = seen_filter
         self._aggregate_once = aggregate_once
         self._unique_hint = unique_hint
-        self._items: np.ndarray | None = None
-        self._deltas: np.ndarray | None = None
         self._tele = estimator._copies.telemetry
         #: Cumulative per-phase wall seconds, measured once per chunk (and
         #: once per switch segment on crossing chunks): probing the
@@ -472,7 +400,6 @@ class SwitchingProtocol:
         sw = self._sw
         sw._ingested = True
         self._backend.stage(items, deltas)
-        self._items, self._deltas = items, deltas
         if count <= REPLAY_LEAF:
             # Tiny chunks replay per item with the band checked every
             # update (no chunk-level coalescing), like the per-item path.
@@ -544,74 +471,6 @@ class SwitchingProtocol:
         self._backend.roll_probed(probes)
         self._drive_raw(0, count)
 
-    def feed_spec(self, count: int) -> None:
-        """Ingest one chunk the coordinator never materializes.
-
-        The spec-shipped twin of :meth:`feed`: the workers hold the
-        chunk (regenerated or memmapped from a broadcast
-        :class:`~repro.streams.sources.ChunkSource` spec), so the
-        coordinator drives the protocol knowing only the chunk *length*.
-        ``backend.stage_spec(count)`` advances every worker's local
-        source by one chunk; from there the raw-region ops — boundary
-        probe, fan-out feed, bisection, leaf steps — all work by
-        position against the workers' local arrays, so this mirrors
-        :meth:`_feed_one`'s raw branch op for op and stays bit-for-bit
-        equivalent.  The coordinator-side hoists (seen filter,
-        aggregate-once) need the arrays and are structurally off here;
-        the planner never enables them for a spec session.
-        """
-        if count == 0:
-            return
-        if self._seen is not None or self._aggregate_once:
-            raise RuntimeError(
-                "spec-shipped chunks cannot run coordinator-side hoists; "
-                "build the protocol with seen_filter=None, "
-                "aggregate_once=False"
-            )
-        if count > self._backend.capacity:
-            raise ValueError(
-                f"spec chunk of {count} updates exceeds backend capacity "
-                f"{self._backend.capacity}"
-            )
-        sw = self._sw
-        sw._ingested = True
-        self._backend.stage_spec(count)
-        self._items = self._deltas = None
-        if count <= REPLAY_LEAF:
-            self._drive_raw(0, count)
-            return
-        timings = self.timings
-        probes = self._probes()
-        tick = time.perf_counter()
-        ys = self._backend.probe_raw(probes)
-        tock = time.perf_counter()
-        timings["probe"] += tock - tick
-        y = self._disc.decide(ys)
-        clean = self._band.within(sw._published, y)
-        tick = time.perf_counter()
-        timings["band_test"] += tick - tock
-        tele = self._tele
-        if tele.enabled:
-            tele.emit(BandTestEvent(
-                clean=clean, published=sw._published, estimate=y,
-            ))
-            tele.metrics.counter(
-                "protocol_band_tests_total", "chunk-boundary band tests"
-            ).inc()
-            if not clean:
-                tele.metrics.counter(
-                    "protocol_crossing_chunks_total",
-                    "chunks resolved by exact replay",
-                ).inc()
-        if clean:
-            self._backend.keep_probed(probes)
-            if len(probes) < self._copies.count:
-                self._backend.feed_others_raw(probes)
-            timings["feed"] += time.perf_counter() - tick
-            return
-        self._backend.roll_probed(probes)
-        self._drive_raw(0, count)
-
     def _drive_raw(self, lo: int, hi: int) -> None:
         """Resolve [lo, hi) exactly: locate each switch via the probed
         copies, then batch the remaining copies up to it.
@@ -644,21 +503,7 @@ class SwitchingProtocol:
                 now = time.perf_counter()
                 timings["feed"] += now - tock
                 tock = now
-            sw._published = self._disc.publish(self._band, y)
-            sw.switches += 1
-            self._disc.on_publish(
-                self._copies, sw.switches, replace=self._backend.replace
-            )
-            tele = self._tele
-            if tele.enabled:
-                tele.emit(SwitchEvent(
-                    published=sw._published, estimate=y,
-                    switches=sw.switches, discipline=self._disc.name,
-                    band=self._band.name, position=cpos,
-                ))
-                tele.metrics.counter(
-                    "protocol_switches_total", "publications (copy switches)"
-                ).inc()
+            sw._commit_switch(y, replace=self._backend.replace, position=cpos)
             timings["replace"] += time.perf_counter() - tock
             pos = cpos + 1
         if self._seen is not None and sw.switches != switches_before:

@@ -11,12 +11,15 @@ plans of :mod:`repro.engine.shards` two ways:
   re-deduping the same chunk.  This is also the deterministic fallback
   when process parallelism is unavailable.
 * :class:`ProcessEngine` — copies (or merge partials) live in forked
-  worker processes; chunks travel through shared-memory buffers (one
-  ``memcpy`` in, zero copies out), and only tiny protocol messages cross
-  the command pipes.  Requires the ``fork`` start method (the workers
-  inherit sketch state and factories by address space, not pickling);
-  anywhere ``fork`` is unavailable the engine degrades to the serial
-  path, bit-for-bit.
+  worker processes; every chunk, including one materialized from a
+  :class:`~repro.streams.sources.ChunkSource`, travels as bytes through
+  shared-memory buffers (one ``memcpy`` in, zero copies out), and only
+  tiny protocol messages cross the command pipes.  Requires the
+  ``fork`` start method (the workers inherit sketch state and factories
+  by address space, not pickling).  It has one process session per plan
+  kind (switching, epoch ring, merge); for everything else — ``fork``
+  unavailable, one worker, one copy, no parallel plan — it opens
+  exactly the :class:`SerialEngine` session, bit-for-bit.
 
 Both engines drive the **same**
 :class:`~repro.core.sketch_switching.SwitchingProtocol` that serial
@@ -66,13 +69,7 @@ from repro.core.copies import (
     LocalCopyBackend,
     UniverseLocalBackend,
 )
-from repro.obs import (
-    NULL_TELEMETRY,
-    MaterializeFaultEvent,
-    PhasesEvent,
-    SpecBroadcastEvent,
-    WorkerTelemetry,
-)
+from repro.obs import PhasesEvent, WorkerTelemetry
 from repro.core.sketch_switching import REPLAY_LEAF, SwitchingProtocol
 from repro.engine.shards import (
     EpochShardPlan,
@@ -83,7 +80,6 @@ from repro.engine.shards import (
     source_mode_for,
 )
 from repro.sketches.base import Sketch, aggregate_batch, as_batch_arrays
-from repro.streams.sources import source_from_spec
 
 #: Default shared-buffer capacity in updates; chunks larger than this are
 #: split (each split gets its own boundary band check, so keep ingestion
@@ -142,9 +138,6 @@ def _switching_worker(conn, copies, factories, views, unique_hint: bool,
 
     # Stack of probed-copy snapshot lists: [[(idx, snapshot), ...], ...]
     snap_stack: list = []
-    # Spec-shipped sessions: the materializer iterator built from the
-    # broadcast spec; each ("adv", count) pulls the next chunk locally.
-    chunk_iter = None
     try:
         while True:
             msg = conn.recv()
@@ -155,25 +148,9 @@ def _switching_worker(conn, copies, factories, views, unique_hint: bool,
             if op == "obs":
                 conn.send(("ok", obs.drain()))
                 continue
-            if op == "source":
-                chunk_iter = source_from_spec(msg[1]).chunks()
-                continue
             timed = op in WorkerTelemetry.PHASE_OF
             tick = time.perf_counter() if timed else 0.0
-            if op == "adv":
-                # Materialize the next chunk from the local source and
-                # expose it as this worker's "raw" region; every other
-                # op (probe/feed/afeed/astep/ascan) then works on it
-                # unchanged, by region + position.
-                _, count = msg
-                chunk = next(chunk_iter)
-                if len(chunk.items) != count:
-                    raise RuntimeError(
-                        f"chunk source yielded {len(chunk.items)} updates, "
-                        f"coordinator expected {count}"
-                    )
-                views["raw"] = (chunk.items, chunk.deltas)
-            elif op == "feed":
+            if op == "feed":
                 # Feed every owned copy except the probed `exclude` set
                 # (which took the same updates through probe/search ops;
                 # an empty exclude feeds all, the uniform-ring case).
@@ -360,7 +337,6 @@ class _ProcessCopyBackend:
         unique_hint: bool,
         capacity: int,
         telemetry=None,
-        spec: bool = False,
     ):
         self._copies = copies
         self._tele = telemetry if telemetry is not None else copies.telemetry
@@ -372,10 +348,7 @@ class _ProcessCopyBackend:
         # groups *before* the fork captures the sketches below, so the
         # sketches shipped into worker address spaces own their arrays.
         copies.unstack()
-        # Spec-shipped sessions skip shared memory entirely: each worker
-        # materializes its own "raw" region from the broadcast source,
-        # so there is nothing for the coordinator to copy in.
-        self._buffers = None if spec else _SharedBuffers(capacity)
+        self._buffers = _SharedBuffers(capacity)
         ctx = mp.get_context("fork")
         self._owner: dict[int, int] = {}
         self._conns = []
@@ -391,8 +364,7 @@ class _ProcessCopyBackend:
             factories = {i: copies.factory_for(i) for i in indices}
             proc = ctx.Process(
                 target=_switching_worker,
-                args=(child, owned, factories,
-                      {} if self._buffers is None else self._buffers.views,
+                args=(child, owned, factories, self._buffers.views,
                       unique_hint, w, self._tele.enabled),
                 daemon=True,
             )
@@ -409,9 +381,7 @@ class _ProcessCopyBackend:
 
     @property
     def capacity(self) -> int:
-        # Spec mode has no shared buffers to overflow: chunk geometry is
-        # the source's own, so advertise an effectively unbounded cap.
-        return self._buffers.capacity if self._buffers is not None else 1 << 62
+        return self._buffers.capacity
 
     def _recv(self, conn):
         return _recv_checked(conn)
@@ -425,44 +395,7 @@ class _ProcessCopyBackend:
             self._recv(conn)
         self._dirty = False
 
-    def broadcast_source(self, spec: dict) -> None:
-        """Ship the chunk-source spec to every worker, once per session.
-
-        Fire-and-forget: workers build their own materializer from the
-        spec (regenerating via the seeded RNG tree, or memmapping their
-        own read-only store view) and subsequent :meth:`stage_spec`
-        advance commands pull chunks locally.
-        """
-        for conn in self._conns:
-            _send(conn, ("source", spec))
-        self._dirty = True
-
-    def stage_spec(self, count: int) -> None:
-        """Advance every worker's local source by one chunk of ``count``.
-
-        No barrier and no shared-buffer write: pipe ordering serializes
-        the advance after each worker's prior ops, and there is no
-        coordinator-written buffer to race on — this (plus the vanished
-        per-chunk memcpy) is the spec-shipping win.
-        """
-        if self._tele.enabled:
-            span_id = self._tele.current_span_id
-            for conn in self._conns:
-                _send(conn, ("span", span_id))
-        for conn in self._conns:
-            _send(conn, ("adv", count))
-        self._raw_len = count
-        self._sub_len = 0
-        self._sub_unit = True
-        self._sub_unique = False
-        self._dirty = True
-
     def stage(self, items: np.ndarray, deltas: np.ndarray) -> None:
-        if self._buffers is None:
-            raise RuntimeError(
-                "spec-mode backend has no shared buffers; "
-                "drive it with feed_spec"
-            )
         # Workers may still be consuming the previous chunk's buffer via
         # fire-and-forget feeds; fence before overwriting it.
         self._barrier()
@@ -716,24 +649,10 @@ class IngestSession(abc.ABC):
     #: surfaced by IngestReport so a fallback is observable, not silent.
     fallback_reason: str | None = None
 
-    #: True when this session ships the chunk-source *spec* to workers
-    #: instead of chunk bytes; api.ingest then drives feed_source.
-    spec_shipped: bool = False
-
     #: How the planner decided to execute a ChunkSource, if one was
-    #: supplied: "spec", "universe", or "bytes: <reason>" — surfaced by
+    #: supplied: "universe" or "bytes: <reason>" — surfaced by
     #: IngestReport so the fallback to bytes-shipping is observable.
     source_mode: str | None = None
-
-    def feed_source(self, source) -> None:
-        """Ingest a whole :class:`~repro.streams.sources.ChunkSource`.
-
-        Default: materialize on the coordinator and feed chunk bytes.
-        Spec-shipped sessions override this to broadcast the spec once
-        and drive per-chunk advance commands instead.
-        """
-        for chunk in source.chunks():
-            self.feed(chunk.items, chunk.deltas)
 
     @property
     def phase_seconds(self) -> dict[str, float] | None:
@@ -788,25 +707,23 @@ class _SwitchingSession(IngestSession):
     """Per-copy fan-out session for switching estimators (any band)."""
 
     def __init__(self, estimator, plan: SwitchingShardPlan, backend,
-                 mode: str, raw_hoists: bool = False, spec_source=None):
+                 mode: str, raw_hoists: bool = False):
         self._est = estimator
         self._plan = plan
         self._backend = backend
-        # Raw-driven backends (the universe fast path, spec-shipping)
-        # consume the unaggregated stream positionally: the coordinator
-        # never materializes a deduped view to hand them, so the plan's
-        # seen-filter/aggregate-once hoists are turned off and the
-        # backend does its own shared-work hoisting.
-        hoists_off = raw_hoists or spec_source is not None
+        # The universe fast path's backend consumes the unaggregated
+        # stream positionally: the coordinator never materializes a
+        # deduped view to hand it, so the plan's seen-filter/
+        # aggregate-once hoists are turned off and the backend does its
+        # own shared-work hoisting.
         self._protocol = SwitchingProtocol(
             plan.switcher, backend,
-            seen_filter=None if hoists_off else plan.hoists.make_seen_filter(),
-            aggregate_once=False if hoists_off else plan.aggregate_once,
-            unique_hint=False if hoists_off else plan.unique_hint,
+            seen_filter=None if raw_hoists else plan.hoists.make_seen_filter(),
+            aggregate_once=False if raw_hoists else plan.aggregate_once,
+            unique_hint=False if raw_hoists else plan.unique_hint,
         )
         self.mode = mode
         self.policy = plan.band.name
-        self.spec_shipped = spec_source is not None
         self._tele = plan.switcher._copies.telemetry
 
     @property
@@ -819,43 +736,6 @@ class _SwitchingSession(IngestSession):
                 self._protocol.feed(items, deltas)
         else:
             self._protocol.feed(items, deltas)
-
-    def feed_source(self, source) -> None:
-        if not self.spec_shipped:
-            super().feed_source(source)
-            return
-        spec = source.spec()
-        lengths = source.chunk_lengths()
-        self._backend.broadcast_source(spec)
-        if self._tele.enabled:
-            self._tele.emit(SpecBroadcastEvent(
-                source=spec["kind"],
-                chunks=len(lengths),
-                updates=source.total,
-                workers=self._backend.workers,
-            ))
-        self._tele.metrics.counter(
-            "engine_spec_broadcasts_total",
-            "Chunk-source specs broadcast to process-engine workers",
-        ).inc()
-        try:
-            for count in lengths:
-                if self._tele.enabled:
-                    with self._tele.span("chunk"):
-                        self._protocol.feed_spec(count)
-                else:
-                    self._protocol.feed_spec(count)
-        except EngineError as exc:
-            # A worker died mid-materialization (bad spec, store I/O
-            # fault, generator mismatch): surface a typed event before
-            # re-raising so the failure is attributable in traces.
-            if self._tele.enabled:
-                self._tele.emit(MaterializeFaultEvent(detail=str(exc)))
-            self._tele.metrics.counter(
-                "engine_materialize_faults_total",
-                "Worker-side chunk materialization failures",
-            ).inc()
-            raise
 
     def query(self) -> float:
         # The published value is coordinator state; no worker round trip.
@@ -1071,9 +951,10 @@ class ExecutionEngine(abc.ABC):
         """Open an ingestion session; use as a context manager.
 
         ``source`` is an optional :class:`~repro.streams.sources.ChunkSource`
-        the caller intends to drive through :meth:`IngestSession.feed_source`;
-        engines use it to pick a faster execution path (spec-shipping to
-        process workers, the serial universe fast path) when licensed.
+        whose chunks the caller will feed; serial switching sessions use
+        its promised item universe for the counts-based fast path when
+        the copy set licenses it.  ``session.source_mode`` records the
+        decision.
         """
 
 
@@ -1090,22 +971,16 @@ class SerialEngine(ExecutionEngine):
 
     def session(self, estimator: Sketch, source=None) -> IngestSession:
         plan = plan_shards(estimator)
-        src_mode, reason = source_mode_for(plan, source, parallel=False)
+        source_mode = source_mode_for(plan, source, parallel=False)
         if isinstance(plan, SwitchingShardPlan):
-            if src_mode == "universe":
-                backend = UniverseLocalBackend(
-                    plan.switcher._copies, source.universe
-                )
-                session = _SwitchingSession(
-                    estimator, plan, backend, mode="serial", raw_hoists=True
-                )
-                session.source_mode = "universe"
-                return session
-            backend = LocalCopyBackend(
-                plan.switcher._copies, plan.unique_hint
+            universe = source_mode == "universe"
+            backend = (
+                UniverseLocalBackend(plan.switcher._copies, source.universe)
+                if universe
+                else LocalCopyBackend(plan.switcher._copies, plan.unique_hint)
             )
             session = _SwitchingSession(
-                estimator, plan, backend, mode="serial"
+                estimator, plan, backend, mode="serial", raw_hoists=universe
             )
         elif isinstance(plan, EpochShardPlan):
             session = _EpochSession(
@@ -1120,8 +995,7 @@ class SerialEngine(ExecutionEngine):
             session = _PlainSession(
                 estimator, fallback_reason=getattr(plan, "reason", None)
             )
-        if src_mode == "bytes":
-            session.source_mode = f"bytes: {reason}"
+        session.source_mode = source_mode
         return session
 
 
@@ -1135,9 +1009,11 @@ class ProcessEngine(ExecutionEngine):
     chunk_capacity:
         Shared-buffer size in updates; feeds larger than this are split.
 
-    Falls back to :class:`SerialEngine` behaviour — same outputs — when
-    ``fork`` is unavailable, when a plan has no parallel decomposition,
-    or when one worker would own everything anyway.
+    Every chunk reaches the workers as bytes through the shared buffers.
+    Opens exactly :class:`SerialEngine`'s session — same outputs, same
+    ``mode`` and ``source_mode`` — when ``fork`` is unavailable, when a
+    plan has no parallel decomposition, or when one worker would own
+    everything anyway.
     """
 
     name = "process"
@@ -1157,78 +1033,47 @@ class ProcessEngine(ExecutionEngine):
         self.chunk_capacity = chunk_capacity
 
     def _process_backend(
-        self, copies: CopyManager, unique_hint: bool, spec: bool = False
+        self, copies: CopyManager, unique_hint: bool
     ) -> _ProcessCopyBackend:
         return _ProcessCopyBackend(
             copies,
             partition_copies(copies.count, self.workers),
             unique_hint,
             self.chunk_capacity,
-            spec=spec,
         )
 
     def session(self, estimator: Sketch, source=None) -> IngestSession:
+        if self.workers < 2 or not fork_available():
+            return SerialEngine().session(estimator, source)
         plan = plan_shards(estimator)
-        parallel = self.workers > 1 and fork_available()
-        src_mode, reason = source_mode_for(plan, source, parallel=parallel)
-        if isinstance(plan, SwitchingShardPlan):
-            if parallel and plan.switcher.copies > 1:
-                spec_mode = src_mode == "spec"
-                backend = self._process_backend(
-                    plan.switcher._copies, plan.unique_hint, spec=spec_mode
-                )
-                mode = f"process[{backend.workers}]"
-                session = _SwitchingSession(
-                    estimator, plan, backend, mode,
-                    spec_source=source if spec_mode else None,
-                )
-                if spec_mode:
-                    session.source_mode = "spec"
-                return session
-            if src_mode == "universe":
-                backend = UniverseLocalBackend(
-                    plan.switcher._copies, source.universe
-                )
-                session = _SwitchingSession(
-                    estimator, plan, backend, mode="serial", raw_hoists=True
-                )
-                session.source_mode = "universe"
-                return session
+        if isinstance(plan, SwitchingShardPlan) and plan.switcher.copies > 1:
+            backend = self._process_backend(
+                plan.switcher._copies, plan.unique_hint
+            )
             session = _SwitchingSession(
-                estimator, plan,
-                LocalCopyBackend(plan.switcher._copies, plan.unique_hint),
-                mode="serial",
+                estimator, plan, backend, f"process[{backend.workers}]"
             )
-            if src_mode == "bytes":
-                session.source_mode = f"bytes: {reason}"
-            return session
-        if isinstance(plan, EpochShardPlan):
-            l2_backend = LocalCopyBackend(
-                plan.l2_plan.switcher._copies, plan.l2_plan.unique_hint
+        elif isinstance(plan, EpochShardPlan) and plan.ring.count > 1:
+            # The ring carries the bulk of the copies; the (smaller) L2
+            # tracker stays on the coordinator.
+            ring_backend = self._process_backend(
+                plan.ring, plan.ring_hoists.unique_hint
             )
-            if parallel and plan.ring.count > 1:
-                # The ring carries the bulk of the copies; the (smaller)
-                # L2 tracker stays on the coordinator.
-                ring_backend = self._process_backend(
-                    plan.ring, plan.ring_hoists.unique_hint
-                )
-                mode = f"process[{ring_backend.workers}]"
-            else:
-                ring_backend = LocalCopyBackend(
-                    plan.ring, plan.ring_hoists.unique_hint
-                )
-                mode = "serial"
-            session = _EpochSession(plan, l2_backend, ring_backend, mode)
-        elif isinstance(plan, MergeShardPlan) and parallel:
+            session = _EpochSession(
+                plan,
+                LocalCopyBackend(
+                    plan.l2_plan.switcher._copies, plan.l2_plan.unique_hint
+                ),
+                ring_backend,
+                f"process[{ring_backend.workers}]",
+            )
+        elif isinstance(plan, MergeShardPlan):
             session = _ProcessMergeSession(
                 plan, self.workers, self.chunk_capacity
             )
         else:
-            session = _PlainSession(
-                estimator, fallback_reason=getattr(plan, "reason", None)
-            )
-        if src_mode == "bytes":
-            session.source_mode = f"bytes: {reason}"
+            return SerialEngine().session(estimator, source)
+        session.source_mode = source_mode_for(plan, source, parallel=True)
         return session
 
 

@@ -42,23 +42,6 @@ JOIN_TIMEOUT = 5.0
 _DONE = object()
 
 
-def source_chunks(source, depth: int = 0, telemetry=None) -> Iterator:
-    """Materialize a :class:`~repro.streams.sources.ChunkSource` locally.
-
-    The coordinator-side (bytes-shipping) drive for
-    ``api.ingest(source=...)``: ``depth > 0`` overlaps materialization
-    with ingestion through :func:`prefetch_chunks`.  Spec-shipped
-    process sessions bypass this module entirely — each worker
-    materializes its own chunks, so generation already overlaps compute
-    inside the workers and there is nothing coordinator-side to
-    prefetch.
-    """
-    if depth:
-        return prefetch_chunks(source.chunks(), depth=depth,
-                               telemetry=telemetry)
-    return source.chunks()
-
-
 def prefetch_chunks(chunks: Iterable, depth: int = DEFAULT_DEPTH,
                     telemetry=None) -> Iterator:
     """Yield from ``chunks`` with production overlapped in a worker thread.

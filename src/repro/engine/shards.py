@@ -331,36 +331,31 @@ def plan_shards(estimator: Sketch) -> ShardPlan:
     return SerialPlan(estimator=estimator)
 
 
-def source_mode_for(plan: ShardPlan, source, parallel: bool):
-    """How a session should consume a chunk source: ``(mode, reason)``.
+def source_mode_for(plan: ShardPlan, source, parallel: bool) -> str | None:
+    """How a session consumes a chunk source (``IngestReport.source_mode``).
 
-    The planner's spec-vs-bytes decision for ``api.ingest(source=...)``:
-
-    * ``"spec"`` — a parallel switching session broadcasts the picklable
-      spec and workers materialize chunks locally (no per-chunk staging);
     * ``"universe"`` — a serial switching session whose copy set
-      licenses the counts-based fast path materializes coordinator-side
-      but prepares chunks from ``bincount`` over the source's promised
-      universe;
-    * ``"bytes"`` — coordinator-side materialization through the
-      ordinary staged-bytes path, with ``reason`` saying why (surfaced
-      in ``IngestReport`` so the fallback is observable, not silent).
+      licenses the counts-based fast path prepares chunks from
+      ``bincount`` over the source's promised universe;
+    * ``"bytes: <reason>"`` — the ordinary staged-bytes path, with the
+      reason the fast path did not apply (so the fallback is observable,
+      not silent).  Process sessions always take this path.
 
-    ``mode`` is ``None`` when no source is involved.
+    ``None`` when no source is involved.
     """
     if source is None:
-        return None, None
+        return None
+    if parallel:
+        return "bytes: process workers are fed chunk bytes"
     if not isinstance(plan, SwitchingShardPlan):
-        return "bytes", (
-            f"{type(plan).__name__} sessions have no spec-shipped path; "
-            "shipping bytes"
+        return (
+            f"bytes: {type(plan).__name__} sessions have no universe fast "
+            "path; shipping bytes"
         )
-    if parallel and plan.switcher.copies > 1:
-        return "spec", None
     copies = plan.switcher._copies
     if universe_licensed(copies, source.universe, source.unit_deltas):
-        return "universe", None
-    return "bytes", (
-        "universe fast path not licensed (needs a known item universe, "
-        "unit deltas, and a stacked copy group); shipping bytes"
+        return "universe"
+    return (
+        "bytes: universe fast path not licensed (needs a known item "
+        "universe, unit deltas, and a stacked copy group); shipping bytes"
     )

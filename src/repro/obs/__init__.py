@@ -26,13 +26,11 @@ from repro.obs.events import (
     LadderAnchorEvent,
     LadderInvalidateEvent,
     LadderPromoteEvent,
-    MaterializeFaultEvent,
     PhasesEvent,
     PlannerFallbackEvent,
     PrefetchFaultEvent,
     RingAdvanceEvent,
     SpanEvent,
-    SpecBroadcastEvent,
     SvtChargeEvent,
     SwitchEvent,
     TraceEvent,
@@ -68,7 +66,6 @@ __all__ = [
     "RingAdvanceEvent", "CopyRetireEvent", "GenerationEvent",
     "SvtChargeEvent", "LadderAnchorEvent", "LadderPromoteEvent",
     "LadderInvalidateEvent", "PlannerFallbackEvent", "PrefetchFaultEvent",
-    "SpecBroadcastEvent", "MaterializeFaultEvent",
     "SpanEvent", "PhasesEvent", "EVENT_TYPES", "event_from_dict",
     # sinks
     "RingSink", "JsonlSink", "CallbackSink", "read_trace",

@@ -40,8 +40,6 @@ __all__ = [
     "LadderInvalidateEvent",
     "PlannerFallbackEvent",
     "PrefetchFaultEvent",
-    "SpecBroadcastEvent",
-    "MaterializeFaultEvent",
     "SpanEvent",
     "PhasesEvent",
     "event_from_dict",
@@ -190,31 +188,6 @@ class PrefetchFaultEvent(TraceEvent):
 
 
 @dataclass
-class SpecBroadcastEvent(TraceEvent):
-    """A chunk-source spec was broadcast to the process-engine workers.
-
-    One per spec-shipped session: after this the coordinator sends only
-    advance commands per chunk and the workers materialize locally.
-    """
-
-    kind: ClassVar[str] = "spec-broadcast"
-
-    source: str = ""            # spec kind: "generator" | "store"
-    chunks: int = 0
-    updates: int = 0
-    workers: int = 0
-
-
-@dataclass
-class MaterializeFaultEvent(TraceEvent):
-    """A worker failed while materializing chunks from a broadcast spec."""
-
-    kind: ClassVar[str] = "materialize-fault"
-
-    detail: str = ""
-
-
-@dataclass
 class SpanEvent(TraceEvent):
     """A completed span.  ``span`` is the *parent*; ``id`` is its own."""
 
@@ -246,8 +219,7 @@ EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
         SwitchEvent, BandTestEvent, CopyBurnEvent, RingAdvanceEvent,
         CopyRetireEvent, GenerationEvent, SvtChargeEvent,
         LadderAnchorEvent, LadderPromoteEvent, LadderInvalidateEvent,
-        PlannerFallbackEvent, PrefetchFaultEvent, SpecBroadcastEvent,
-        MaterializeFaultEvent, SpanEvent, PhasesEvent,
+        PlannerFallbackEvent, PrefetchFaultEvent, SpanEvent, PhasesEvent,
     )
 }
 

@@ -236,23 +236,20 @@ class WorkerTelemetry:
     """
 
     #: Map backend command -> phase bucket.  Probe-shaped commands
-    #: (aggregate probes, snapshot scans) all count as "probe";
-    #: spec-shipped chunk materialization ("adv") is its own "generate"
-    #: phase so worker-side generation time stays attributable.
+    #: (aggregate probes, snapshot scans) all count as "probe".
     PHASE_OF = {
         "probe": "probe", "akeep": "probe", "aroll": "probe",
         "asnap": "probe", "afeed": "probe", "astep": "probe",
         "ascan": "probe",
         "feed": "feed",
         "replace": "replace",
-        "adv": "generate",
     }
 
     def __init__(self, worker: int, trace: bool) -> None:
         self.worker = worker
         self.trace = trace
         self.phases: Dict[str, float] = {
-            "probe": 0.0, "feed": 0.0, "replace": 0.0, "generate": 0.0,
+            "probe": 0.0, "feed": 0.0, "replace": 0.0,
         }
         self.events: List[Dict[str, Any]] = []
         self._span: Optional[Union[int, str]] = None

@@ -28,7 +28,8 @@ import math
 
 import numpy as np
 
-from repro.core.sketch_switching import SketchSwitchingEstimator, restart_ring_size
+from repro.core.bands import MultiplicativeBand
+from repro.core.sketch_switching import SwitchingEstimator, restart_ring_size
 from repro.sketches.base import Sketch, spawn_rngs
 from repro.sketches.stable import PStableSketch
 from repro.streams.frequency import FrequencyVector
@@ -173,8 +174,9 @@ class RobustCascadedNorm(Sketch):
         def factory(child: np.random.Generator) -> CascadedNormSketch:
             return CascadedNormSketch(p, k, num_cols, inner_rows, child)
 
-        self._switcher = SketchSwitchingEstimator(
-            factory, copies=copies, eps=eps, rng=rng, restart=True
+        self._switcher = SwitchingEstimator(
+            factory, copies=copies, rng=rng, band=MultiplicativeBand(eps),
+            restart=True,
         )
 
     @property

@@ -28,7 +28,6 @@ from repro.streams.sources import (
     GeneratorChunkSource,
     StoreChunkSource,
     as_chunk_source,
-    source_from_spec,
 )
 from repro.streams.store import ColumnarStreamStore, StreamWriter, write_stream
 from repro.streams.validators import (
@@ -45,7 +44,6 @@ __all__ = [
     "GeneratorChunkSource",
     "StoreChunkSource",
     "as_chunk_source",
-    "source_from_spec",
     "ColumnarStreamStore",
     "StreamWriter",
     "FrequencyVector",

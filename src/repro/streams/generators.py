@@ -227,12 +227,11 @@ def distinct_ramp_chunks(
         produced += take
 
 
-#: Spec-shippable chunked generators, by name: the registry
+#: Chunked generators by name: the registry
 #: :class:`repro.streams.sources.GeneratorChunkSource` materializes
 #: through.  Every entry takes ``(n, m, [rng,] chunk_size=..., **params)``
-#: and regenerates bit-for-bit from the same seed regardless of where it
-#: runs — that is the property that lets the process engine ship the
-#: spec instead of the bytes.
+#: and regenerates bit-for-bit from the same seed, which is what makes a
+#: generator source repeatable.
 CHUNKED_GENERATORS = {
     "uniform": uniform_stream_chunks,
     "zipfian": zipfian_stream_chunks,

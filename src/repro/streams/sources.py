@@ -1,32 +1,26 @@
-"""Chunk sources: picklable stream *descriptions* with local materializers.
+"""Chunk sources: repeatable stream descriptions with a local materializer.
 
-A :class:`ChunkSource` separates **describing** a stream from
-**materializing** it.  The description — :meth:`ChunkSource.spec` — is a
-small picklable dict (a generator name + parameters + seed + chunk
-geometry, or a :class:`~repro.streams.store.ColumnarStreamStore` path +
-row range); :meth:`ChunkSource.chunks` turns that description into the
-actual :class:`~repro.streams.model.StreamChunk` sequence wherever the
-spec happens to be.
+A :class:`ChunkSource` describes a stream — a chunked generator name +
+parameters + seed, or a :class:`~repro.streams.store.ColumnarStreamStore`
+path + row range — and :meth:`ChunkSource.chunks` materializes it as a
+:class:`~repro.streams.model.StreamChunk` sequence.  Generator-backed
+sources rebuild their RNG on every :meth:`~ChunkSource.chunks` call, and
+NumPy draws are bit-for-bit identical whether drawn monolithically or
+chunk by chunk, so every materialization yields the same stream.
+Store-backed sources memmap a read-only view of the column files on
+each :meth:`~ChunkSource.chunks` call (zero-copy, page-cache shared).
 
-That split is what lets the process engine ship *specs instead of
-bytes*: the coordinator broadcasts the spec once at session start, every
-worker rebuilds the source locally via :func:`source_from_spec`, and the
-per-chunk coordinator traffic shrinks from megabytes of staged arrays to
-a bare advance command.  Generator-backed sources regenerate chunks from
-the same seed through the same chunked generator — NumPy draws are
-bit-for-bit identical whether drawn monolithically or chunk by chunk, so
-every worker sees exactly the stream the coordinator would have staged.
-Store-backed sources memmap their *own* read-only view of the column
-files post-fork and slice rows directly (zero-copy, page-cache shared).
+A source also states what it promises about its items: ``universe``
+(every item is below it) and ``unit_deltas``.  Those promises license
+the serial engine's counts-based prepare fast path
+(``IngestReport.source_mode == "universe"``); every other session feeds
+the materialized chunk bytes.
 
-Sequentiality contract: :meth:`chunks` materializes the stream **in
-order** — generator state advances chunk by chunk, so there is no random
-access.  The switching protocol drives chunks strictly in order, and
-boundary/bisect replay works positionally *within* the current chunk, so
-sequential materialization is all the engines need.
-:meth:`chunk_lengths` states the chunk geometry up front without
-materializing anything, which is how the coordinator drives workers
-through a spec-shipped session while holding no stream data at all.
+Sequentiality contract: :meth:`~ChunkSource.chunks` materializes the
+stream **in order** — generator state advances chunk by chunk, so there
+is no random access.  The switching protocol drives chunks strictly in
+order, and boundary/bisect replay works positionally *within* the
+current chunk, so sequential materialization is all the engines need.
 """
 
 from __future__ import annotations
@@ -45,13 +39,12 @@ __all__ = [
     "ChunkSource",
     "GeneratorChunkSource",
     "StoreChunkSource",
-    "source_from_spec",
     "as_chunk_source",
 ]
 
 
 class ChunkSource(ABC):
-    """A stream described by a picklable spec plus a local materializer."""
+    """A repeatable stream description plus a local materializer."""
 
     #: Total number of updates the source yields.
     total: int
@@ -65,22 +58,8 @@ class ChunkSource(ABC):
     unit_deltas: bool
 
     @abstractmethod
-    def spec(self) -> dict:
-        """The picklable description; ``source_from_spec`` round-trips it."""
-
-    @abstractmethod
     def chunks(self) -> Iterator[StreamChunk]:
         """Materialize the stream, strictly in order."""
-
-    def chunk_lengths(self) -> list[int]:
-        """Per-chunk lengths, computed without materializing anything."""
-        sizes = []
-        remaining = self.total
-        while remaining > 0:
-            take = min(self.chunk_size, remaining)
-            sizes.append(take)
-            remaining -= take
-        return sizes
 
     def __len__(self) -> int:
         return self.total
@@ -99,8 +78,7 @@ class GeneratorChunkSource(ChunkSource):
     ``name`` selects a chunked generator from
     :data:`repro.streams.generators.CHUNKED_GENERATORS`.  Seeded
     generators rebuild their RNG as ``np.random.default_rng(seed)`` on
-    every :meth:`chunks` call, so materialization is repeatable and
-    identical on every worker that holds the spec.
+    every :meth:`chunks` call, so materialization is repeatable.
     """
 
     unit_deltas = True
@@ -122,7 +100,9 @@ class GeneratorChunkSource(ChunkSource):
             if seed is not None:
                 raise ValueError(f"generator {name!r} is deterministic; seed must be None")
         elif seed is None:
-            raise ValueError(f"generator {name!r} needs a seed to be spec-shippable")
+            raise ValueError(
+                f"generator {name!r} needs a seed so its chunks are repeatable"
+            )
         self.name = name
         self.n = int(n)
         self.total = int(m)
@@ -130,17 +110,6 @@ class GeneratorChunkSource(ChunkSource):
         self.chunk_size = int(chunk_size)
         self.params = dict(params)
         self.universe = self.n
-
-    def spec(self) -> dict:
-        return {
-            "kind": "generator",
-            "name": self.name,
-            "n": self.n,
-            "m": self.total,
-            "seed": self.seed,
-            "chunk_size": self.chunk_size,
-            "params": dict(self.params),
-        }
 
     def chunks(self) -> Iterator[StreamChunk]:
         fn = CHUNKED_GENERATORS[self.name]
@@ -159,11 +128,11 @@ class GeneratorChunkSource(ChunkSource):
 class StoreChunkSource(ChunkSource):
     """A row range of an on-disk columnar store, materialized by memmap.
 
-    The spec carries only the path and row range; every consumer —
-    including each forked worker — opens its **own**
-    :class:`ColumnarStreamStore` and memmaps its own read-only view, so
-    no file handles cross the fork boundary and chunk views stay
-    zero-copy (the OS shares the pages).
+    The source holds only the path and row range; every
+    :meth:`chunks` call opens its **own** :class:`ColumnarStreamStore`
+    and memmaps its own read-only view, so a forked process
+    materializing an inherited source shares no file handles with its
+    parent, and chunk views stay zero-copy (the OS shares the pages).
     """
 
     def __init__(
@@ -191,15 +160,6 @@ class StoreChunkSource(ChunkSource):
         params = store.params
         self.universe = params.n if params is not None else None
 
-    def spec(self) -> dict:
-        return {
-            "kind": "store",
-            "path": str(self.path),
-            "chunk_size": self.chunk_size,
-            "start": self.start,
-            "stop": self.stop,
-        }
-
     def chunks(self) -> Iterator[StreamChunk]:
         store = ColumnarStreamStore(self.path)
         items = store.items
@@ -218,50 +178,22 @@ class StoreChunkSource(ChunkSource):
         )
 
 
-def source_from_spec(spec: dict) -> ChunkSource:
-    """Rebuild a :class:`ChunkSource` from its picklable spec.
-
-    This is the worker-side entry point: the process engine broadcasts
-    ``source.spec()`` once per session and each worker materializes
-    through the source this returns.
-    """
-    kind = spec.get("kind")
-    if kind == "generator":
-        return GeneratorChunkSource(
-            spec["name"],
-            n=spec["n"],
-            m=spec["m"],
-            seed=spec["seed"],
-            chunk_size=spec["chunk_size"],
-            **spec.get("params", {}),
-        )
-    if kind == "store":
-        return StoreChunkSource(
-            spec["path"],
-            chunk_size=spec["chunk_size"],
-            start=spec["start"],
-            stop=spec["stop"],
-        )
-    raise ValueError(f"unknown chunk-source spec kind {kind!r}")
-
-
 def as_chunk_source(obj, chunk_size: int = DEFAULT_CHUNK_SIZE):
     """Coerce ``obj`` to a :class:`ChunkSource`, or return ``None``.
 
     Accepts a :class:`ChunkSource` (returned as-is), a
     :class:`ColumnarStreamStore` or a store path (wrapped in a
-    :class:`StoreChunkSource`).  Anything else — ad-hoc iterables,
-    materialized arrays — returns ``None``: those streams have no
-    picklable description, so the planner ships bytes instead and
-    surfaces the reason in the ingest report.
+    :class:`StoreChunkSource`).  A ``str``/``Path`` must open as a
+    store: one that does not raises the store's error (a
+    :class:`~repro.streams.store.StoreFormatError` for a missing or
+    malformed store) rather than being replayed as a sequence of
+    characters.  Anything else — ad-hoc iterables, materialized arrays
+    — returns ``None``, and the caller replays it as a plain stream.
     """
     if isinstance(obj, ChunkSource):
         return obj
     if isinstance(obj, ColumnarStreamStore):
         return StoreChunkSource(obj.path, chunk_size=chunk_size)
     if isinstance(obj, (str, pathlib.Path)):
-        try:
-            return StoreChunkSource(obj, chunk_size=chunk_size)
-        except (OSError, ValueError):
-            return None
+        return StoreChunkSource(obj, chunk_size=chunk_size)
     return None

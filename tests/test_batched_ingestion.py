@@ -16,10 +16,8 @@ import pytest
 
 from repro.api import ingest
 from repro.core.computation_paths import ComputationPathsEstimator
-from repro.core.sketch_switching import (
-    AdditiveSwitchingEstimator,
-    SketchSwitchingEstimator,
-)
+from repro.core.bands import AdditiveBand, MultiplicativeBand
+from repro.core.sketch_switching import SwitchingEstimator
 from repro.experiments.runner import run_relative
 from repro.robust.crypto_distinct import CryptoRobustDistinctElements
 from repro.robust.distinct import RobustDistinctElements
@@ -213,10 +211,10 @@ class TestSwitchingEquivalence:
 
     @staticmethod
     def _make(restart, copies, seed=3):
-        return SketchSwitchingEstimator(
+        return SwitchingEstimator(
             lambda r: KMVSketch(64, r),
             copies=copies,
-            eps=0.3,
+            band=MultiplicativeBand(0.3),
             rng=np.random.default_rng(seed),
             restart=restart,
             on_exhausted="clamp",
@@ -253,10 +251,10 @@ class TestSwitchingEquivalence:
 
     def test_additive_switching_chunked(self):
         def make():
-            return AdditiveSwitchingEstimator(
+            return SwitchingEstimator(
                 lambda r: _CountTracker(),
                 copies=200,
-                eps=2.0,
+                band=AdditiveBand(2.0),
                 rng=np.random.default_rng(1),
                 on_exhausted="clamp",
             )

@@ -1,11 +1,10 @@
-"""Chunk sources: spec round-trips, fork safety, and path equivalence.
+"""Chunk sources: repeatable materialization, fork safety, path equivalence.
 
-The load-bearing suite for spec-shipped execution: a stream described by
-a picklable spec must materialize bit-for-bit identically wherever the
-spec travels — coordinator, serial fast path, or forked worker — so
+A chunk source must materialize bit-for-bit identically every time and
+in any process — coordinator, serial fast path, or a forked child — so
 published outputs, switch counts, and DP budget state agree across the
-per-item path, the bytes-shipped engines, and the spec-shipped process
-engine.
+per-item path, the serial engines (bytes and universe fast path), and
+the process engine fed source chunks as bytes.
 """
 
 import multiprocessing as mp
@@ -21,12 +20,10 @@ from repro.core.bands import MultiplicativeBand
 from repro.core.disciplines import PrivateAggregateDiscipline
 from repro.core.sketch_switching import SwitchingEstimator
 from repro.engine.executor import (
-    EngineError,
     ProcessEngine,
     SerialEngine,
     fork_available,
 )
-from repro.obs import RingSink, Telemetry
 from repro.sketches.countsketch import CountSketch
 from repro.streams.model import Update
 from repro.streams.sources import (
@@ -34,9 +31,12 @@ from repro.streams.sources import (
     GeneratorChunkSource,
     StoreChunkSource,
     as_chunk_source,
-    source_from_spec,
 )
-from repro.streams.store import ColumnarStreamStore, write_stream
+from repro.streams.store import (
+    ColumnarStreamStore,
+    StoreFormatError,
+    write_stream,
+)
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="process engine requires the fork start method"
@@ -51,20 +51,11 @@ def _materialize(source: ChunkSource):
 
 
 # ----------------------------------------------------------------------
-# Specs and round-trips
+# Materialization
 # ----------------------------------------------------------------------
 
 
 class TestGeneratorSource:
-    def test_spec_round_trip_is_bit_identical(self):
-        src = GeneratorChunkSource("zipfian", n=500, m=7_000, seed=21,
-                                   chunk_size=1234, s=1.4)
-        twin = source_from_spec(src.spec())
-        a_i, a_d = _materialize(src)
-        b_i, b_d = _materialize(twin)
-        np.testing.assert_array_equal(a_i, b_i)
-        np.testing.assert_array_equal(a_d, b_d)
-
     def test_rematerialization_is_repeatable(self):
         src = GeneratorChunkSource("uniform", n=100, m=5_000, seed=3,
                                    chunk_size=512)
@@ -73,8 +64,8 @@ class TestGeneratorSource:
         np.testing.assert_array_equal(a_i, b_i)
 
     def test_chunked_draws_match_monolithic(self):
-        # The licensing fact for worker-side regeneration: chunk-by-chunk
-        # RNG draws concatenate to the monolithic stream bit for bit.
+        # Chunk-by-chunk RNG draws concatenate to the monolithic stream
+        # bit for bit, whatever the chunk geometry.
         src = GeneratorChunkSource("uniform", n=256, m=10_000, seed=11,
                                    chunk_size=999)
         items, _ = _materialize(src)
@@ -86,10 +77,9 @@ class TestGeneratorSource:
     def test_chunk_lengths_match_geometry(self):
         src = GeneratorChunkSource("uniform", n=10, m=2_500, seed=0,
                                    chunk_size=1_000)
-        lengths = src.chunk_lengths()
+        lengths = [len(c.items) for c in src.chunks()]
         assert lengths == [1_000, 1_000, 500]
         assert sum(lengths) == src.total == len(src)
-        assert [len(c.items) for c in src.chunks()] == lengths
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown chunked generator"):
@@ -101,12 +91,11 @@ class TestGeneratorSource:
         with pytest.raises(ValueError, match="chunk size"):
             GeneratorChunkSource("uniform", n=10, m=10, seed=1, chunk_size=0)
 
-    def test_seedless_generator_is_spec_shippable(self):
+    def test_seedless_generator_is_repeatable(self):
         src = GeneratorChunkSource("distinct-ramp", n=64, m=200,
                                    chunk_size=33)
-        twin = source_from_spec(src.spec())
         np.testing.assert_array_equal(_materialize(src)[0],
-                                      _materialize(twin)[0])
+                                      _materialize(src)[0])
 
 
 class TestStoreSource:
@@ -116,14 +105,13 @@ class TestStoreSource:
         write_stream(tmp_path / "s", updates, chunk_size=64)
         return tmp_path / "s"
 
-    def test_spec_round_trip(self, store_path):
+    def test_row_range_materializes_store_rows(self, store_path):
         src = StoreChunkSource(store_path, chunk_size=100, start=50, stop=350)
         assert src.total == 300
-        twin = source_from_spec(src.spec())
-        a_i, a_d = _materialize(src)
-        b_i, b_d = _materialize(twin)
-        np.testing.assert_array_equal(a_i, b_i)
-        np.testing.assert_array_equal(a_d, b_d)
+        store = ColumnarStreamStore(store_path)
+        items, deltas = _materialize(src)
+        np.testing.assert_array_equal(items, store.items[50:350])
+        np.testing.assert_array_equal(deltas, store.deltas[50:350])
 
     def test_row_range_validation(self, store_path):
         with pytest.raises(ValueError, match="out of bounds"):
@@ -139,7 +127,8 @@ class TestStoreSource:
         src = GeneratorChunkSource("uniform", n=4, m=4, seed=0)
         assert as_chunk_source(src, 128) is src
         assert as_chunk_source([1, 2, 3], 128) is None
-        assert as_chunk_source("/nonexistent/store/path", 128) is None
+        with pytest.raises(StoreFormatError):
+            as_chunk_source("/nonexistent/store/path", 128)
 
 
 # ----------------------------------------------------------------------
@@ -184,8 +173,9 @@ class TestForkSafety:
         np.testing.assert_array_equal(store.items[:], parent_items)
 
     def test_store_source_chunks_in_child(self, tmp_path):
-        # StoreChunkSource.chunks() opens its own store, so a worker
-        # materializing from a spec never shares parent file handles.
+        # StoreChunkSource.chunks() opens its own store, so a forked
+        # child materializing the inherited source object never shares
+        # the parent's file handles.
         updates = [Update(i % 9, 1) for i in range(500)]
         write_stream(tmp_path / "s", updates, chunk_size=64)
         src = StoreChunkSource(tmp_path / "s", chunk_size=128)
@@ -193,12 +183,10 @@ class TestForkSafety:
 
         ctx = mp.get_context("fork")
         parent_conn, child_conn = ctx.Pipe()
-        spec = src.spec()
 
         def child(conn):
             try:
-                got = source_from_spec(spec)
-                i, d = _materialize(got)
+                i, d = _materialize(src)
                 conn.send((i, d))
             finally:
                 conn.close()
@@ -213,7 +201,7 @@ class TestForkSafety:
 
 
 # ----------------------------------------------------------------------
-# Equivalence: per-item vs bytes-shipped vs spec-shipped, bit for bit
+# Equivalence: per-item vs serial engines vs process engine, bit for bit
 # ----------------------------------------------------------------------
 
 
@@ -230,6 +218,18 @@ def _stacked_dp(copies=8, width=32, seed=1, band=0.5):
 
 def _state(est):
     return (est.query(), est.switches, est.discipline.budget_state())
+
+
+def _per_item(source, **kwargs):
+    est = _stacked_dp(**kwargs)
+    for it in _materialize(source)[0].tolist():
+        est.update(it, 1)
+    return est
+
+
+def _feed(session, source):
+    for chunk in source.chunks():
+        session.feed(chunk.items, chunk.deltas)
 
 
 class TestSerialEquivalence:
@@ -263,7 +263,7 @@ class TestSerialEquivalence:
         universe = _stacked_dp()
         with SerialEngine().session(universe, source=src) as session:
             assert session.source_mode == "universe"
-            session.feed_source(src)
+            _feed(session, src)
 
         assert _state(chunked) == _state(per_item)
         assert _state(universe) == _state(per_item)
@@ -275,81 +275,78 @@ class TestSerialEquivalence:
                                    chunk_size=777)
         est = _stacked_dp()
         with SerialEngine().session(est, source=src) as session:
-            session.feed_source(src)
-        assert est.switches > len(src.chunk_lengths())
+            _feed(session, src)
+        assert est.switches > -(-src.total // src.chunk_size)
 
 
 @needs_fork
-class TestProcessSpecEquivalence:
+class TestProcessSourceEquivalence:
+    """Chunk sources on the process engine take the bytes transport."""
+
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_spec_shipped_matches_per_item(self, workers):
+    def test_generator_source_matches_per_item(self, workers):
         src = GeneratorChunkSource("uniform", n=64, m=12_000, seed=9,
                                    chunk_size=777)
-        items, _ = _materialize(src)
-        per_item = _stacked_dp()
-        for it in items.tolist():
-            per_item.update(it, 1)
+        est = _stacked_dp()
+        report = ingest(est, source=src, engine=f"process:{workers}")
+        assert report.mode == f"process[{workers}]"
+        assert report.source_mode.startswith("bytes:")
+        assert _state(est) == _state(_per_item(src))
 
-        spec = _stacked_dp()
-        with ProcessEngine(workers=workers).session(spec, source=src) as s:
-            assert s.spec_shipped and s.source_mode == "spec"
-            assert s.mode == f"process[{min(workers, 8)}]"
-            s.feed_source(src)
-
-        assert _state(spec) == _state(per_item)
-
-    def test_spec_shipped_store_source(self, tmp_path):
+    def test_store_source_matches_per_item(self, tmp_path):
         rng = np.random.default_rng(4)
         updates = [Update(int(x), 1)
                    for x in rng.integers(0, 64, size=6_000)]
         write_stream(tmp_path / "s", updates, chunk_size=512)
         src = StoreChunkSource(tmp_path / "s", chunk_size=512)
 
-        bytes_est = _stacked_dp(seed=2)
-        for c in src.chunks():
-            bytes_est.update_batch(c.items, c.deltas)
+        est = _stacked_dp(seed=2)
+        report = ingest(est, source=src, engine="process:2")
+        assert report.mode == "process[2]"
+        assert report.source_mode.startswith("bytes:")
+        assert _state(est) == _state(_per_item(src, seed=2))
 
-        spec_est = _stacked_dp(seed=2)
-        with ProcessEngine(workers=2).session(spec_est, source=src) as s:
-            assert s.spec_shipped
-            s.feed_source(src)
-        assert _state(spec_est) == _state(bytes_est)
-
-    def test_spec_broadcast_event_and_generate_phase(self):
+    def test_source_report_has_no_generate_phase(self):
         src = GeneratorChunkSource("uniform", n=32, m=4_000, seed=5,
                                    chunk_size=512)
-        ring = RingSink()
         report = ingest(_stacked_dp(), source=src, engine="process:2",
-                        telemetry=Telemetry(sinks=[ring]))
-        assert report.source_mode == "spec"
-        assert report.mode == "process[2]"
-        broadcasts = ring.by_kind("spec-broadcast")
-        assert len(broadcasts) == 1
-        ev = broadcasts[0]
-        assert ev.source == "generator"
-        assert ev.chunks == len(src.chunk_lengths())
-        assert ev.updates == src.total
-        assert ev.workers == 2
-        # worker_generate is its own key, never summed into a
-        # coordinator phase (same double-count rule as worker_probe).
+                        telemetry=True)
+        assert report.source_mode.startswith("bytes:")
         phases = report.phase_seconds
-        assert "worker_generate" in phases
-        assert "generate" not in phases
+        assert "worker_probe" in phases and "worker_feed" in phases
+        assert not any("generate" in key for key in phases)
 
-    def test_materialize_fault_surfaces(self):
-        class LyingSource(GeneratorChunkSource):
-            # Claims one more chunk than it materializes: the workers'
-            # chunk iterators exhaust and the advance command faults.
-            def chunk_lengths(self):
-                return super().chunk_lengths() + [1]
-
-        src = LyingSource("uniform", n=32, m=2_000, seed=5, chunk_size=512)
-        ring = RingSink()
-        with pytest.raises(EngineError):
-            ingest(_stacked_dp(), source=src, engine="process:2",
-                   telemetry=Telemetry(sinks=[ring]))
-        faults = ring.by_kind("materialize-fault")
-        assert len(faults) == 1 and faults[0].detail
+    @pytest.mark.parametrize("licensed", [True, False])
+    @pytest.mark.parametrize("workers,copies", [(1, 8), (2, 1)])
+    def test_serial_fallbacks_open_the_serial_session(
+        self, tmp_path, licensed, workers, copies
+    ):
+        # One worker, or one copy, leaves nothing to shard: the process
+        # engine must open exactly the serial engine's session, universe
+        # fast path included.
+        if licensed:
+            src = GeneratorChunkSource("uniform", n=32, m=2_000, seed=3,
+                                       chunk_size=500)
+        else:
+            write_stream(tmp_path / "s", [Update(i % 16, 1)
+                                          for i in range(1_000)])
+            src = StoreChunkSource(tmp_path / "s", chunk_size=500)
+        est = _stacked_dp(copies=copies)
+        serial_est = _stacked_dp(copies=copies)
+        with ProcessEngine(workers=workers).session(est, source=src) as got, \
+                SerialEngine().session(serial_est, source=src) as want:
+            assert type(got) is type(want)
+            assert got.mode == want.mode == "serial"
+            assert got.source_mode == want.source_mode
+            # The universe license needs a stacked group (two or more
+            # copies) and a known universe (the store has none).
+            if licensed and copies > 1:
+                assert got.source_mode == "universe"
+            else:
+                assert got.source_mode.startswith("bytes:")
+            _feed(got, src)
+            _feed(want, src)
+        assert _state(est) == _state(serial_est)
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +374,7 @@ class TestIngestSourceSurface:
         report = ingest(_stacked_dp(), source=[1, 2, 3, 1, 2],
                         engine="serial")
         assert report.source_mode.startswith("bytes:")
-        assert "no picklable chunk-source spec" in report.source_mode
+        assert "not a chunk source" in report.source_mode
 
     def test_direct_path_reports_bytes(self):
         src = GeneratorChunkSource("uniform", n=32, m=2_000, seed=7,
@@ -408,3 +405,16 @@ class TestIngestSourceSurface:
         report = ingest(_stacked_dp(), source=src, engine="serial")
         assert report.source_mode.startswith("bytes:")
         assert "not licensed" in report.source_mode
+
+    @pytest.mark.parametrize("path", ["2024", "no-such-store"])
+    def test_missing_store_path_raises(self, tmp_path, monkeypatch, path):
+        # A str/Path source opens as a store or raises; it is never
+        # replayed as its characters (a digits-only path once ingested
+        # items 2, 0, 2, 4).
+        monkeypatch.chdir(tmp_path)
+        est = _stacked_dp()
+        with pytest.raises(StoreFormatError, match="no header"):
+            ingest(est, source=path)
+        with pytest.raises(StoreFormatError):
+            ingest(est, source=tmp_path / path, engine="serial")
+        assert est.query() == 0.0 and not est._ingested

@@ -17,18 +17,12 @@ import pytest
 from repro.core.bands import (
     AdditiveBand,
     EpochBand,
-    L2Band,
     MultiplicativeBand,
     relative_within,
 )
 from repro.core.copies import CopyManager, SketchExhaustedError
 from repro.core.rounding import RoundedSequence, round_to_power
-from repro.core.sketch_switching import (
-    AdditiveSwitchingEstimator,
-    SketchSwitchingEstimator,
-    SwitchingEstimator,
-    within_band,
-)
+from repro.core.sketch_switching import SwitchingEstimator
 from repro.sketches.base import Sketch
 from repro.sketches.kmv import KMVSketch
 
@@ -51,17 +45,25 @@ class _ExactCounter(Sketch):
 
 class TestMultiplicativeBand:
     def test_matches_legacy_within_band(self):
+        # The Algorithm 1 predicate: published inside (1 ± eps/2) of the
+        # estimate, i.e. relative_within at eps/2.
         band = MultiplicativeBand(0.3)
         rng = np.random.default_rng(0)
         for _ in range(200):
             published = float(rng.uniform(-50, 50))
             estimate = float(rng.uniform(-50, 50))
-            assert band.within(published, estimate) == within_band(
-                published, estimate, 0.3
+            assert band.within(published, estimate) == relative_within(
+                published, estimate, 0.15
             )
             assert band.crossed(published, estimate) != band.within(
                 published, estimate
             )
+        band = MultiplicativeBand(0.2)
+        assert band.within(100.0, 100.0)
+        assert band.within(100.0, 105.0)
+        assert not band.within(100.0, 150.0)
+        assert band.within(0.0, 0.0)
+        assert not band.within(0.0, 10.0)
 
     def test_publish_matches_legacy_rounding(self):
         band = MultiplicativeBand(0.4)
@@ -122,13 +124,10 @@ class TestEpochBand:
                 published = band.publish(y)
             assert published == rounder.push(y)
 
-    def test_l2_alias(self):
-        assert L2Band is EpochBand
-        assert EpochBand(0.3).name == "epoch"
-
     def test_validation(self):
         with pytest.raises(ValueError):
             EpochBand(0.0)
+        assert EpochBand(0.3).name == "epoch"
 
 
 class TestRelativeWithin:
@@ -196,8 +195,9 @@ class TestCopyManager:
         mgr = CopyManager(
             lambda r: KMVSketch(32, r), 4, np.random.default_rng(9)
         )
-        est = SketchSwitchingEstimator(
-            lambda r: KMVSketch(32, r), 4, 0.3, np.random.default_rng(9)
+        est = SwitchingEstimator(
+            lambda r: KMVSketch(32, r), 4, rng=np.random.default_rng(9),
+            band=MultiplicativeBand(0.3),
         )
         for a, b in zip(mgr.sketches, est._sketches):
             assert a.state_fingerprint() == b.state_fingerprint()
@@ -215,7 +215,8 @@ class TestGenericSwitchingEstimator:
             lambda r: _ExactCounter(), 64, rng=np.random.default_rng(1),
             band=MultiplicativeBand(0.2),
         )
-        b = SketchSwitchingEstimator(
+        # eps alone defaults to the same multiplicative band.
+        b = SwitchingEstimator(
             lambda r: _ExactCounter(), 64, 0.2, np.random.default_rng(1)
         )
         for t in range(500):
@@ -223,18 +224,6 @@ class TestGenericSwitchingEstimator:
             b.update(0, 1)
         assert a.query() == b.query()
         assert a.switches == b.switches
-
-    def test_aliases_are_generic_subclasses(self):
-        assert issubclass(SketchSwitchingEstimator, SwitchingEstimator)
-        assert issubclass(AdditiveSwitchingEstimator, SwitchingEstimator)
-        add = AdditiveSwitchingEstimator(
-            lambda r: _ExactCounter(), 4, 0.5, np.random.default_rng(0)
-        )
-        assert add.band == AdditiveBand(0.5)
-        mult = SketchSwitchingEstimator(
-            lambda r: _ExactCounter(), 4, 0.5, np.random.default_rng(0)
-        )
-        assert mult.band == MultiplicativeBand(0.5)
 
     def test_prebuilt_copy_manager(self):
         mgr = CopyManager(
@@ -273,3 +262,8 @@ class TestGenericSwitchingEstimator:
             band=AdditiveBand(0.7),
         )
         assert est.eps == 0.7
+        assert est.band == AdditiveBand(0.7)
+        est = SwitchingEstimator(
+            lambda r: _ExactCounter(), 4, 0.5, np.random.default_rng(0)
+        )
+        assert est.band == MultiplicativeBand(0.5)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.bands import AdditiveBand, MultiplicativeBand
 from repro.core.sketch_switching import (
-    AdditiveSwitchingEstimator,
     SketchExhaustedError,
-    SketchSwitchingEstimator,
+    SwitchingEstimator,
     restart_ring_size,
 )
 from repro.sketches.base import Sketch
@@ -50,8 +50,8 @@ class TestRestartRingSize:
 
 class TestSketchSwitching:
     def test_publishes_within_band(self):
-        sw = SketchSwitchingEstimator(
-            lambda r: _ExactCounter(), copies=200, eps=0.2,
+        sw = SwitchingEstimator(
+            lambda r: _ExactCounter(), copies=200, band=MultiplicativeBand(0.2),
             rng=np.random.default_rng(0),
         )
         for t in range(1, 300):
@@ -59,8 +59,8 @@ class TestSketchSwitching:
             assert abs(out - t) <= 0.2 * t + 1e-9
 
     def test_output_changes_rarely(self):
-        sw = SketchSwitchingEstimator(
-            lambda r: _ExactCounter(), copies=200, eps=0.2,
+        sw = SwitchingEstimator(
+            lambda r: _ExactCounter(), copies=200, band=MultiplicativeBand(0.2),
             rng=np.random.default_rng(1),
         )
         outputs = [sw.process_update(0, 1) for _ in range(1000)]
@@ -72,15 +72,15 @@ class TestSketchSwitching:
         assert sw.switches == distinct_runs
 
     def test_initial_output_is_zero(self):
-        sw = SketchSwitchingEstimator(
-            lambda r: _ExactCounter(), copies=4, eps=0.5,
+        sw = SwitchingEstimator(
+            lambda r: _ExactCounter(), copies=4, band=MultiplicativeBand(0.5),
             rng=np.random.default_rng(2),
         )
         assert sw.query() == 0.0
 
     def test_exhaustion_raises(self):
-        sw = SketchSwitchingEstimator(
-            lambda r: _ExactCounter(), copies=2, eps=0.1,
+        sw = SwitchingEstimator(
+            lambda r: _ExactCounter(), copies=2, band=MultiplicativeBand(0.1),
             rng=np.random.default_rng(3),
         )
         with pytest.raises(SketchExhaustedError):
@@ -88,8 +88,8 @@ class TestSketchSwitching:
                 sw.process_update(0, 1)
 
     def test_exhaustion_clamp_mode(self):
-        sw = SketchSwitchingEstimator(
-            lambda r: _ExactCounter(), copies=2, eps=0.1,
+        sw = SwitchingEstimator(
+            lambda r: _ExactCounter(), copies=2, band=MultiplicativeBand(0.1),
             rng=np.random.default_rng(4), on_exhausted="clamp",
         )
         for _ in range(100):
@@ -101,8 +101,9 @@ class TestSketchSwitching:
         # restarted copies miss a non-negligible prefix of the stream.
         eps = 0.4
         ring = restart_ring_size(eps, constant=1.0)
-        sw = SketchSwitchingEstimator(
-            lambda r: KMVSketch(256, r), copies=ring, eps=eps,
+        sw = SwitchingEstimator(
+            lambda r: KMVSketch(256, r), copies=ring,
+            band=MultiplicativeBand(eps),
             rng=np.random.default_rng(5), restart=True,
         )
         worst = 0.0
@@ -117,8 +118,8 @@ class TestSketchSwitching:
     def test_undersized_restart_ring_degrades(self):
         """Control for the ring-size requirement: a tiny ring loses the
         prefix mass and the estimate collapses below the error band."""
-        sw = SketchSwitchingEstimator(
-            lambda r: KMVSketch(256, r), copies=4, eps=0.4,
+        sw = SwitchingEstimator(
+            lambda r: KMVSketch(256, r), copies=4, band=MultiplicativeBand(0.4),
             rng=np.random.default_rng(6), restart=True,
         )
         worst = 0.0
@@ -129,15 +130,15 @@ class TestSketchSwitching:
         assert worst > 0.4
 
     def test_restart_disables_deletions(self):
-        sw = SketchSwitchingEstimator(
-            lambda r: _ExactCounter(), copies=4, eps=0.5,
+        sw = SwitchingEstimator(
+            lambda r: _ExactCounter(), copies=4, band=MultiplicativeBand(0.5),
             rng=np.random.default_rng(6), restart=True,
         )
         assert not sw.supports_deletions
 
     def test_space_sums_copies(self):
-        sw = SketchSwitchingEstimator(
-            lambda r: _ExactCounter(), copies=5, eps=0.5,
+        sw = SwitchingEstimator(
+            lambda r: _ExactCounter(), copies=5, band=MultiplicativeBand(0.5),
             rng=np.random.default_rng(7),
         )
         assert sw.space_bits() == 5 * 64 + 128
@@ -145,11 +146,11 @@ class TestSketchSwitching:
     def test_invalid_params(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            SketchSwitchingEstimator(lambda r: _ExactCounter(), 0, 0.1, rng)
+            SwitchingEstimator(lambda r: _ExactCounter(), 0, 0.1, rng)
         with pytest.raises(ValueError):
-            SketchSwitchingEstimator(lambda r: _ExactCounter(), 1, 1.5, rng)
+            SwitchingEstimator(lambda r: _ExactCounter(), 1, 1.5, rng)
         with pytest.raises(ValueError):
-            SketchSwitchingEstimator(
+            SwitchingEstimator(
                 lambda r: _ExactCounter(), 1, 0.1, rng, on_exhausted="explode"
             )
 
@@ -176,8 +177,8 @@ class _ExactEntropyLike(Sketch):
 
 class TestAdditiveSwitching:
     def test_additive_band(self):
-        sw = AdditiveSwitchingEstimator(
-            lambda r: _ExactEntropyLike(), copies=64, eps=0.3,
+        sw = SwitchingEstimator(
+            lambda r: _ExactEntropyLike(), copies=64, band=AdditiveBand(0.3),
             rng=np.random.default_rng(8),
         )
         import math
@@ -187,8 +188,8 @@ class TestAdditiveSwitching:
             assert abs(out - math.log2(t + 1)) <= 0.3 + 1e-9
 
     def test_switch_count_bounded_by_range(self):
-        sw = AdditiveSwitchingEstimator(
-            lambda r: _ExactEntropyLike(), copies=100, eps=0.5,
+        sw = SwitchingEstimator(
+            lambda r: _ExactEntropyLike(), copies=100, band=AdditiveBand(0.5),
             rng=np.random.default_rng(9),
         )
         for _ in range(1000):
@@ -199,8 +200,8 @@ class TestAdditiveSwitching:
         assert sw.switches <= math.log2(1001) / 0.25 + 2
 
     def test_exhaustion_raises(self):
-        sw = AdditiveSwitchingEstimator(
-            lambda r: _ExactEntropyLike(), copies=2, eps=0.1,
+        sw = SwitchingEstimator(
+            lambda r: _ExactEntropyLike(), copies=2, band=AdditiveBand(0.1),
             rng=np.random.default_rng(10),
         )
         with pytest.raises(SketchExhaustedError):
@@ -210,17 +211,19 @@ class TestAdditiveSwitching:
     def test_invalid_params(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            AdditiveSwitchingEstimator(lambda r: _ExactEntropyLike(), 0, 0.1, rng)
+            SwitchingEstimator(lambda r: _ExactEntropyLike(), 0,
+                               rng=rng, band=AdditiveBand(0.1))
         with pytest.raises(ValueError):
-            AdditiveSwitchingEstimator(lambda r: _ExactEntropyLike(), 1, -1, rng)
+            SwitchingEstimator(lambda r: _ExactEntropyLike(), 1,
+                               rng=rng, band=AdditiveBand(-1))
 
 
 class TestExhaustionPaths:
     """The on_exhausted="clamp" degradation modes and ring reuse."""
 
     def test_plain_clamp_keeps_last_copy_active(self):
-        sw = SketchSwitchingEstimator(
-            lambda r: _ExactCounter(), copies=3, eps=0.2,
+        sw = SwitchingEstimator(
+            lambda r: _ExactCounter(), copies=3, band=MultiplicativeBand(0.2),
             rng=np.random.default_rng(1), on_exhausted="clamp",
         )
         for _ in range(2000):
@@ -232,8 +235,8 @@ class TestExhaustionPaths:
         assert sw.query() == pytest.approx(2000.0, rel=0.2 / 2 + 1e-9)
 
     def test_plain_clamp_never_raises_on_long_streams(self):
-        sw = SketchSwitchingEstimator(
-            lambda r: _ExactCounter(), copies=1, eps=0.5,
+        sw = SwitchingEstimator(
+            lambda r: _ExactCounter(), copies=1, band=MultiplicativeBand(0.5),
             rng=np.random.default_rng(2), on_exhausted="clamp",
         )
         for _ in range(500):
@@ -242,8 +245,8 @@ class TestExhaustionPaths:
     def test_additive_clamp_keeps_tracking(self):
         import math
 
-        sw = AdditiveSwitchingEstimator(
-            lambda r: _ExactEntropyLike(), copies=2, eps=0.1,
+        sw = SwitchingEstimator(
+            lambda r: _ExactEntropyLike(), copies=2, band=AdditiveBand(0.1),
             rng=np.random.default_rng(3), on_exhausted="clamp",
         )
         for t in range(1, 1500):
@@ -253,8 +256,9 @@ class TestExhaustionPaths:
 
     def test_clamp_chunked_matches_per_item(self):
         def make(mode_copies):
-            return SketchSwitchingEstimator(
-                lambda r: _ExactCounter(), copies=mode_copies, eps=0.2,
+            return SwitchingEstimator(
+                lambda r: _ExactCounter(), copies=mode_copies,
+                band=MultiplicativeBand(0.2),
                 rng=np.random.default_rng(4), on_exhausted="clamp",
             )
 
@@ -269,13 +273,14 @@ class TestExhaustionPaths:
 
     def test_invalid_on_exhausted_rejected(self):
         with pytest.raises(ValueError):
-            SketchSwitchingEstimator(
-                lambda r: _ExactCounter(), copies=2, eps=0.2,
+            SwitchingEstimator(
+                lambda r: _ExactCounter(), copies=2,
+                band=MultiplicativeBand(0.2),
                 rng=np.random.default_rng(0), on_exhausted="ignore",
             )
         with pytest.raises(ValueError):
-            AdditiveSwitchingEstimator(
-                lambda r: _ExactEntropyLike(), copies=2, eps=0.2,
+            SwitchingEstimator(
+                lambda r: _ExactEntropyLike(), copies=2, band=AdditiveBand(0.2),
                 rng=np.random.default_rng(0), on_exhausted="ignore",
             )
 
@@ -283,8 +288,9 @@ class TestExhaustionPaths:
 class TestRestartRingReuse:
     def test_full_cycle_replaces_every_slot(self):
         ring = 5
-        sw = SketchSwitchingEstimator(
-            lambda r: _ExactCounter(), copies=ring, eps=0.2,
+        sw = SwitchingEstimator(
+            lambda r: _ExactCounter(), copies=ring,
+            band=MultiplicativeBand(0.2),
             rng=np.random.default_rng(5), restart=True,
         )
         originals = list(sw._sketches)
@@ -300,8 +306,9 @@ class TestRestartRingReuse:
 
     def test_restart_rng_derivation_is_deterministic(self):
         def make():
-            return SketchSwitchingEstimator(
-                lambda r: KMVSketch(16, r), copies=4, eps=0.3,
+            return SwitchingEstimator(
+                lambda r: KMVSketch(16, r), copies=4,
+                band=MultiplicativeBand(0.3),
                 rng=np.random.default_rng(6), restart=True,
             )
 

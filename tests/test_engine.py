@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from repro.api import ingest
+from repro.core.bands import MultiplicativeBand
 from repro.core.sketch_switching import (
     SketchExhaustedError,
-    SketchSwitchingEstimator,
-    within_band,
+    SwitchingEstimator,
 )
 from repro.engine import (
     EngineError,
@@ -127,8 +127,9 @@ class TestSwitchingEquivalence:
         items = _uniform(m, n, seed=11)
 
         def build(copies, on_exhausted):
-            return SketchSwitchingEstimator(
-                lambda r: KMVSketch(96, r), copies=copies, eps=0.3,
+            return SwitchingEstimator(
+                lambda r: KMVSketch(96, r), copies=copies,
+                band=MultiplicativeBand(0.3),
                 rng=np.random.default_rng(1), restart=False,
                 on_exhausted=on_exhausted,
             )
@@ -166,8 +167,9 @@ class TestSwitchingEquivalence:
 
     def test_bare_switching_estimator_plans_per_copy(self):
         rng = np.random.default_rng(0)
-        est = SketchSwitchingEstimator(
-            lambda r: KMVSketch(64, r), copies=8, eps=0.25, rng=rng
+        est = SwitchingEstimator(
+            lambda r: KMVSketch(64, r), copies=8,
+            band=MultiplicativeBand(0.25), rng=rng,
         )
         plan = plan_shards(est)
         assert isinstance(plan, SwitchingShardPlan)
@@ -176,21 +178,22 @@ class TestSwitchingEquivalence:
 
     def test_hll_inner_sketches_filter_without_unique_hint(self):
         rng = np.random.default_rng(0)
-        est = SketchSwitchingEstimator(
-            lambda r: HyperLogLog(5, r), copies=4, eps=0.3, rng=rng
+        est = SwitchingEstimator(
+            lambda r: HyperLogLog(5, r), copies=4,
+            band=MultiplicativeBand(0.3), rng=rng,
         )
         plan = plan_shards(est)
         assert isinstance(plan, SwitchingShardPlan)
         assert plan.filter_duplicates
         assert not plan.unique_hint
         items = _uniform(6_000, 1 << 9, seed=4)
-        direct = SketchSwitchingEstimator(
-            lambda r: HyperLogLog(5, r), copies=4, eps=0.3,
+        direct = SwitchingEstimator(
+            lambda r: HyperLogLog(5, r), copies=4, band=MultiplicativeBand(0.3),
             rng=np.random.default_rng(1), restart=False,
             on_exhausted="clamp",
         )
-        engined = SketchSwitchingEstimator(
-            lambda r: HyperLogLog(5, r), copies=4, eps=0.3,
+        engined = SwitchingEstimator(
+            lambda r: HyperLogLog(5, r), copies=4, band=MultiplicativeBand(0.3),
             rng=np.random.default_rng(1), restart=False,
             on_exhausted="clamp",
         )
@@ -695,13 +698,6 @@ class TestPlumbing:
         assert s0.steps_judged == s1.steps_judged
         with pytest.raises(ValueError):
             run_relative(a, items, lambda f: f.f0(), engine=SerialEngine())
-
-    def test_within_band(self):
-        assert within_band(100.0, 100.0, 0.2)
-        assert within_band(100.0, 105.0, 0.2)
-        assert not within_band(100.0, 150.0, 0.2)
-        assert within_band(0.0, 0.0, 0.2)
-        assert not within_band(0.0, 10.0, 0.2)
 
     @needs_fork
     def test_worker_error_surfaces(self):

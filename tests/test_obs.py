@@ -250,10 +250,9 @@ class TestWorkerTelemetry:
         obs.op("probe", 0.5)
         obs.op("afeed", 0.5)                  # aggregate feed counts as probe
         obs.op("stop", 1.0)                   # unmapped: ignored
-        obs.op("adv", 0.125)                  # spec-mode chunk materialization
         payload = obs.drain()
         assert payload["phases"] == {"probe": 1.0, "feed": 0.25,
-                                     "replace": 0.0, "generate": 0.125}
+                                     "replace": 0.0}
         assert "events" not in payload        # tracing off: no span records
 
     def test_span_records_between_tags(self):
