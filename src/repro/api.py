@@ -34,6 +34,7 @@ pipeline — optionally through the parallel execution engine
 from __future__ import annotations
 
 import contextlib
+import pathlib
 import time
 from dataclasses import dataclass
 
@@ -307,7 +308,8 @@ def ingest(
     ``Update`` tuples, a ``StreamChunk``, an iterable of chunks (the
     array-native generators in :mod:`repro.streams.generators`), or a
     :class:`repro.streams.store.ColumnarStreamStore` replayed zero-copy.
-    Updates are sliced into ``chunk_size``-sized chunks and fed through
+    A ``str``/``Path`` ``stream`` is taken as ``source=`` (below): it
+    opens as a store or raises.  Updates are sliced into ``chunk_size``-sized chunks and fed through
     ``update_batch``, which every estimator supports (vectorized for the
     hot sketches, loop fallback otherwise).
 
@@ -380,8 +382,9 @@ def ingest(
         raise ValueError("pass either stream= or source=, not both")
     if stream is None and source is None:
         raise ValueError("ingest needs a stream= or a source=")
-    if isinstance(stream, ChunkSource):
-        # A ChunkSource in stream position is a source; redirect it.
+    if isinstance(stream, (ChunkSource, str, pathlib.Path)):
+        # A ChunkSource or a store path in stream position is a source:
+        # a path opens as a store or raises, never replays its characters.
         source, stream = stream, None
     src = None
     src_reason = None

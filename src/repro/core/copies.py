@@ -58,6 +58,12 @@ from repro.obs import (
 from repro.sketches.base import Sketch, SketchFactory, spawn_rngs
 
 
+def _frozen(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.intp)
+    arr.flags.writeable = False
+    return arr
+
+
 class SketchExhaustedError(RuntimeError):
     """All sketch copies were burned: the flip-number budget was exceeded.
 
@@ -188,6 +194,7 @@ class CopyManager:
         """
         self.stacks: dict[int, "SketchStack"] = {}
         self._plane_of: dict[int, tuple[int, int]] = {}
+        self._plans: dict[tuple, tuple] = {}
         if not self._stack_enabled:
             return
         for g, (lo, hi) in enumerate(self.group_slices):
@@ -210,25 +217,37 @@ class CopyManager:
         """Split copy indices into per-stack plane runs plus leftovers.
 
         Returns ``(parts, rest)``: ``parts`` is a list of
-        ``(stack, planes, positions)`` triples — ``positions`` being the
-        offsets of those copies inside ``indices`` so callers can
-        reassemble per-copy results in request order — and ``rest`` the
-        ``(position, index)`` pairs served by the object path.
+        ``(stack, planes, positions)`` triples — ``planes`` and
+        ``positions`` (the offsets of those copies inside ``indices``, so
+        callers can reassemble per-copy results in request order) as
+        read-only intp arrays — and ``rest`` the ``(position, index)``
+        pairs served by the object path.  Plans are memoized per index
+        tuple until the stacks are rebuilt or detached; callers must not
+        mutate them.
         """
-        parts: dict[int, tuple] = {}
+        key = tuple(indices)
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
+        grouped: dict[int, tuple] = {}
         rest: list[tuple[int, int]] = []
-        for pos, idx in enumerate(indices):
+        for pos, idx in enumerate(key):
             hit = self._plane_of.get(idx)
             if hit is None:
                 rest.append((pos, idx))
                 continue
             g, plane = hit
-            entry = parts.get(g)
+            entry = grouped.get(g)
             if entry is None:
-                entry = parts[g] = (self.stacks[g], [], [])
+                entry = grouped[g] = (self.stacks[g], [], [])
             entry[1].append(plane)
             entry[2].append(pos)
-        return list(parts.values()), rest
+        parts = [
+            (stack, _frozen(planes), _frozen(positions))
+            for stack, planes, positions in grouped.values()
+        ]
+        plan = self._plans[key] = (parts, rest)
+        return plan
 
     def install(self, idx: int, sketch: Sketch) -> None:
         """Install ``sketch`` as the copy at ``idx``, stack-aware.
@@ -256,6 +275,7 @@ class CopyManager:
             stack.detach()
         self.stacks = {}
         self._plane_of = {}
+        self._plans = {}
 
     def restack(self) -> None:
         """Rebuild stacks over the current copies (no-op if already live)."""
@@ -432,10 +452,13 @@ class LocalCopyBackend:
     When the manager carries stacked copy groups, the bulk feeds route
     through the stacks: a staged chunk is aggregated and hashed **once**
     per stack (``prepare``) and the resulting columns are reused across
-    the probe feed, the non-probed fan-out, and any replay catch-ups
-    over the same arrays — the shared hash pass that makes k copies cost
-    one kernel invocation instead of k call chains.  Results are
-    bit-for-bit those of the per-object path.
+    the probe feed and the non-probed fan-out — the shared hash pass that
+    makes k copies cost one kernel invocation instead of k call chains.
+    Only whole-chunk preps are cached; a crossing chunk's bisection
+    halves, catch-ups and leaf feeds gather their columns out of the
+    whole-chunk prep on demand (``SketchStack.subset``) and drop them, so
+    a crossing holds one prep per stack however deep it bisects.
+    Results are bit-for-bit those of the per-object path.
     """
 
     def __init__(self, copies: CopyManager, unique_hint: bool = False):
@@ -448,8 +471,9 @@ class LocalCopyBackend:
         #: Stack of per-probe snapshot records:
         #: {"stacks": [(stack, saved)], "objects": [(idx, snapshot)]}
         self._snap_stack: list[dict] = []
-        #: Prepared-chunk cache: one aggregation + stacked hash pass per
-        #: staged array region per stack, reused across probe/feed ops.
+        #: Whole-chunk prep cache, keyed ("raw" | "sub", id(stack)): one
+        #: aggregation + stacked hash pass per staged array per stack,
+        #: reused across probe/feed ops until the next stage.
         self._prep: dict[tuple, object] = {}
 
     @property
@@ -487,29 +511,17 @@ class LocalCopyBackend:
     def _raw_prepared(self, stack, lo: int, hi: int):
         """Prepared chunk for ``raw[lo:hi]``, hashing each chunk once.
 
-        Subranges (crossing-search bisection, catch-up replays) are
-        derived from one full-chunk ``prepare`` by gathering the slice's
-        hash columns (:meth:`SketchStack.subset`), so a crossing costs
-        one stacked hash pass instead of one per bisection round.
+        The whole staged chunk is prepared once and cached; a subrange
+        (bisection half, catch-up, leaf feed) is gathered out of it
+        (:meth:`SketchStack.subset`) for the one feed that asks and not
+        kept, so a crossing costs one stacked hash pass and holds one
+        prep per stack.
         """
-        key = ("raw", id(stack), lo, hi)
-        prep = self._prep.get(key)
-        if prep is not None:
-            return prep
-        full_len = len(self._items)
-        if lo == 0 and hi == full_len:
-            prep = stack.prepare(self._items, self._deltas)
-        else:
-            full_key = ("raw", id(stack), 0, full_len)
-            full = self._prep.get(full_key)
-            if full is None:
-                full = stack.prepare(self._items, self._deltas)
-                self._prep[full_key] = full
-            prep = stack.subset(
-                full, self._items[lo:hi], self._deltas[lo:hi]
-            )
-        self._prep[key] = prep
-        return prep
+        whole = self._prepared(("raw", id(stack)), stack, self._items,
+                               self._deltas)
+        if lo == 0 and hi == len(self._items):
+            return whole
+        return stack.subset(whole, self._items[lo:hi], self._deltas[lo:hi])
 
     def _snapshot_probes(self, probes: tuple[int, ...]) -> dict:
         """Composite snapshot: stacked planes as one array copy each."""
@@ -591,12 +603,14 @@ class LocalCopyBackend:
         return ys
 
     def keep_probed(self, probes: tuple[int, ...]) -> None:
-        self._snap_stack.pop()
+        for stack, saved in self._snap_stack.pop()["stacks"]:
+            stack.release(saved)
 
     def roll_probed(self, probes: tuple[int, ...]) -> None:
         record = self._snap_stack.pop()
         for stack, saved in record["stacks"]:
             stack.restore(saved)
+            stack.release(saved)
         for idx, snap in record["objects"]:
             self._copies.install(idx, snap)
 
@@ -655,6 +669,16 @@ class LocalCopyBackend:
             sk.update(item, delta)
             ys[i] = sk.query()
         return ys
+
+    def prefix_probed(
+        self, lo: int, hi: int, probes: tuple[int, ...]
+    ) -> np.ndarray | None:
+        """Probe estimates after every prefix of [lo, hi), computed
+        without feeding — ``(hi - lo, len(probes))`` — or ``None`` when
+        the backend cannot derive them exactly (here: always; the
+        universe backend can), in which case the caller steps per item.
+        """
+        return None
 
     def scan_probed(
         self, lo: int, hi: int, probe: int, published: float, band
@@ -725,21 +749,11 @@ class LocalCopyBackend:
             self._refresh_plane(copies.stacks[hit[0]], hit[1])
 
     def _refresh_plane(self, stack, plane: int) -> None:
-        """The copy installed at ``plane`` hashes differently: fix every
-        prepared chunk cached for ``stack``.
-
-        Whole-region preps get the plane's columns recomputed (one
-        single-copy hash pass each); subrange preps are dropped, since
-        :meth:`_raw_prepared` re-gathers them from the refreshed whole
-        chunk on demand.
-        """
-        staged = 0 if self._items is None else len(self._items)
-        whole = ("raw", id(stack), 0, staged)
-        for key in [k for k in self._prep if k[1] == id(stack)]:
-            prep = self._prep[key]
-            if key[0] == "raw" and key != whole:
-                del self._prep[key]
-            elif prep is not None:
+        """The copy installed at ``plane`` hashes differently: recompute
+        its columns (one single-copy hash pass) in every whole-chunk prep
+        cached for ``stack``; subranges gathered later inherit them."""
+        for (_, key), prep in self._prep.items():
+            if key == id(stack) and prep is not None:
                 stack.refresh(prep, plane)
 
     def fetch(self, idx: int) -> Sketch:
@@ -757,7 +771,8 @@ class LocalCopyBackend:
 
 #: Cap on resident universe-column elements (planes * rows * universe)
 #: per stack before the counts-based fast path declines to engage; at 16
-#: bytes per element the default is ~64 MB.
+#: bytes per element (24 once a dense feed has made its work buffer)
+#: the default is ~64 MB (~96 MB).
 UNIVERSE_PREP_CAP = 4_000_000
 
 
@@ -795,20 +810,26 @@ class UniverseLocalBackend(LocalCopyBackend):
     aggregation pipeline collapses: the stacked hash columns for the
     *whole universe* are evaluated once per session
     (``SketchStack.prepare_universe``), and every prepared chunk —
-    boundary probe, non-probed fan-out, bisection subrange, catch-up —
-    becomes an ``np.bincount`` over the staged slice plus a column
-    gather at the nonzero support (``prepare_counts``).  That eliminates
-    both the per-chunk ``np.unique`` sort and the per-chunk stacked hash
-    pass of the bytes-shipped path while producing bit-for-bit identical
-    preps: the sorted nonzero support of an insertion-only count vector
-    equals ``np.unique`` of the slice, and the counts at the support
-    equal the aggregated deltas.
+    boundary probe, non-probed fan-out, bisection half, catch-up —
+    becomes an ``np.bincount`` over the staged slice wrapped as a
+    counts-only prep that feeds through those live columns
+    (``prepare_counts``).  That eliminates both the per-chunk
+    ``np.unique`` sort and the per-chunk stacked hash pass of the
+    bytes-shipped path while feeding bit-for-bit identical tables: the
+    sorted nonzero support of an insertion-only count vector equals
+    ``np.unique`` of the slice, and the counts at the support equal the
+    aggregated deltas.  Only the whole chunk's prep is kept until the
+    next stage; subrange preps are built for one feed and dropped.
 
-    Bisection leaf scans get the same treatment: ``step_probed`` routes
-    per-item updates through one fancy-indexed scatter-add across all
-    probed planes (``step_item``) instead of k template ``update``
-    calls, gated off when candidate tracking is live (heuristic state
-    the fast path does not mirror).
+    Bisection leaves are resolved without stepping: ``prefix_probed``
+    derives every probed copy's estimate after each prefix of the leaf
+    in one vectorized pass (``prefix_estimates``), and the protocol then
+    feeds the leaf once up to its crossing.  Where that pass would not
+    be exact, and for single updates, ``step_probed`` routes per-item
+    updates through one fancy-indexed scatter-add across all probed
+    planes (``step_item``) instead of k template ``update`` calls.  Both
+    are gated off when candidate tracking is live (heuristic state the
+    fast path does not mirror).
 
     Stacks that do not support universe columns — and any overweight
     universe — fall back per-stack to the inherited prepare path, so
@@ -826,8 +847,6 @@ class UniverseLocalBackend(LocalCopyBackend):
         self._ucols: dict[int, object] = {}
         #: id(stack) -> whether the vectorized leaf step is safe.
         self._fast: dict[int, bool] = {}
-        #: (lo, hi) -> bincount of the staged slice over the universe.
-        self._counts: dict[tuple[int, int], np.ndarray] = {}
 
     def _universe_cols(self, stack):
         cols = self._ucols.get(id(stack))
@@ -846,7 +865,6 @@ class UniverseLocalBackend(LocalCopyBackend):
         if flag is None:
             flag = (
                 self._universe_cols(stack) is not None
-                and hasattr(stack, "step_item")
                 and all(
                     getattr(s, "_track_candidates", 1) == 0
                     for s in stack.sketches
@@ -856,27 +874,21 @@ class UniverseLocalBackend(LocalCopyBackend):
         return flag
 
     def _range_counts(self, lo: int, hi: int) -> np.ndarray:
-        key = (lo, hi)
-        counts = self._counts.get(key)
-        if counts is None:
-            counts = np.bincount(self._items[lo:hi], minlength=self.universe)
-            if len(counts) > self.universe:
-                raise ValueError(
-                    f"staged chunk contains items >= universe {self.universe}; "
-                    "the chunk source's universe promise is violated"
-                )
-            self._counts[key] = counts
+        counts = np.bincount(self._items[lo:hi], minlength=self.universe)
+        if len(counts) > self.universe:
+            raise ValueError(
+                f"staged chunk contains items >= universe {self.universe}; "
+                "the chunk source's universe promise is violated"
+            )
         return counts
-
-    def stage(self, items: np.ndarray, deltas: np.ndarray) -> None:
-        super().stage(items, deltas)
-        self._counts.clear()
 
     def _raw_prepared(self, stack, lo: int, hi: int):
         cols = self._universe_cols(stack)
         if cols is None:
             return super()._raw_prepared(stack, lo, hi)
-        key = ("raw", id(stack), lo, hi)
+        if lo != 0 or hi != len(self._items):
+            return stack.prepare_counts(cols, self._range_counts(lo, hi))
+        key = ("raw", id(stack))
         prep = self._prep.get(key)
         if prep is None:
             prep = stack.prepare_counts(cols, self._range_counts(lo, hi))
@@ -912,8 +924,29 @@ class UniverseLocalBackend(LocalCopyBackend):
             ys[i] = sk.query()
         return ys
 
+    def prefix_probed(
+        self, lo: int, hi: int, probes: tuple[int, ...]
+    ) -> np.ndarray | None:
+        """Every probe's estimate after each prefix of [lo, hi), from one
+        ``prefix_estimates`` pass per stack; ``None`` unless every probe
+        lives in a fast-path stack and every pass stays exact."""
+        parts, rest = self._copies.stack_plan(probes)
+        if rest:
+            return None
+        out = np.empty((hi - lo, len(probes)), dtype=np.float64)
+        items, deltas = self._items[lo:hi], self._deltas[lo:hi]
+        for stack, planes, positions in parts:
+            if not self._step_fast(stack):
+                return None
+            est = stack.prefix_estimates(
+                self._universe_cols(stack), items, deltas, planes
+            )
+            if est is None:
+                return None
+            out[:, positions] = est
+        return out
+
     def close(self) -> None:
         super().close()
         self._ucols.clear()
         self._fast.clear()
-        self._counts.clear()

@@ -191,6 +191,14 @@ class ProbeDiscipline(abc.ABC):
         """Collapse the probed copies' estimates (aligned with
         :meth:`probe_indices`) into the decision estimate."""
 
+    def decide_many(self, estimates: np.ndarray) -> np.ndarray:
+        """:meth:`decide` applied to each row of a ``(prefixes, probes)``
+        array, as a float64 array bit-for-bit equal to the row-by-row
+        calls.  Subclasses may vectorize it; the default loops.
+        """
+        return np.array([self.decide(row) for row in estimates],
+                        dtype=np.float64)
+
     @abc.abstractmethod
     def publish(self, band: BandPolicy, estimate: float) -> float:
         """Round the decision estimate for publication."""
@@ -324,15 +332,23 @@ class PrivateAggregateDiscipline(ProbeDiscipline):
     def probe_indices(self, copies: CopyManager) -> tuple[int, ...]:
         return tuple(range(copies.count))
 
-    def decide(self, estimates: Sequence[float]) -> float:
+    def _noise_factor(self) -> float:
         if self._noise is None:
             raise RuntimeError(
                 "PrivateAggregateDiscipline used before bind(); construct "
                 "the estimator with discipline=... or call set_discipline"
             )
+        return 1.0 + self._noise
+
+    def decide(self, estimates: Sequence[float]) -> float:
         # Probe paths deliver a float64 ndarray (CopyManager.estimate_all
         # and the backends now return arrays), so no conversion is needed.
-        return float(np.median(estimates)) * (1.0 + self._noise)
+        return float(np.median(estimates)) * self._noise_factor()
+
+    def decide_many(self, estimates: np.ndarray) -> np.ndarray:
+        # One median per row: the same partition and middle-pair mean
+        # np.median applies to each row alone, times the same factor.
+        return np.median(estimates, axis=1) * self._noise_factor()
 
     def publish(self, band: BandPolicy, estimate: float) -> float:
         return band.publish_aggregate(estimate)

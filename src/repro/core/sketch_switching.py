@@ -571,22 +571,49 @@ class SwitchingProtocol:
     def _scan(
         self, lo: int, hi: int, probes: tuple[int, ...]
     ) -> tuple[int, float] | None:
-        """Per-item scan of a bisection leaf.
+        """Resolve a bisection leaf exactly.
 
-        Identity-decide disciplines with a single probed copy resolve
-        the scan where the copy lives (one command, no per-item round
-        trips); aggregating disciplines step the probe set per item and
-        decide on the coordinator — leaves are at most ``REPLAY_LEAF``
-        updates and crossing chunks are rare, so the round trips are
-        bounded.
+        A backend that can derive the probed copies' estimates after
+        every prefix of the leaf without feeding it (the universe
+        backend) answers in one pass: :meth:`ProbeDiscipline.decide_many`
+        turns them into decision estimates, the first one outside the
+        band is the crossing, and one ``feed_probed`` brings the probed
+        copies up to it.  Otherwise identity-decide disciplines with a
+        single probed copy resolve the scan where the copy lives (one
+        command, no per-item round trips), and aggregating disciplines
+        step the probe set per item and decide on the coordinator —
+        leaves are at most ``REPLAY_LEAF`` updates and crossing chunks
+        are rare, so the round trips are bounded.
         """
         sw = self._sw
+        backend = self._backend
+        prefixes = backend.prefix_probed(lo, hi, probes)
+        if prefixes is not None:
+            ys = self._disc.decide_many(prefixes)
+            for off, y in enumerate(ys.tolist()):
+                if self._band.crossed(sw._published, y):
+                    pos = lo + off
+                    # Decide again on the fed copies: stateful
+                    # disciplines stash this read for on_publish, and a
+                    # prefix pass that was not exact fails loudly here
+                    # instead of moving the switch.
+                    fed = self._disc.decide(
+                        backend.feed_probed(lo, pos + 1, probes)
+                    )
+                    if fed != y:
+                        raise RuntimeError(
+                            f"leaf prefix pass decided {y!r} at position "
+                            f"{pos}, the fed copies {fed!r}"
+                        )
+                    return pos, fed
+            backend.feed_probed(lo, hi, probes)
+            return None
         if len(probes) == 1 and self._disc.identity_decide:
-            return self._backend.scan_probed(
+            return backend.scan_probed(
                 lo, hi, probes[0], sw._published, self._band
             )
         for pos in range(lo, hi):
-            y = self._disc.decide(self._backend.step_probed(pos, probes))
+            y = self._disc.decide(backend.step_probed(pos, probes))
             if self._band.crossed(sw._published, y):
                 return pos, y
         return None

@@ -494,6 +494,9 @@ class _ProcessCopyBackend:
             _send(self._conns[worker], ("astep", pos, owned))
         return self._gather(groups, probes)
 
+    def prefix_probed(self, lo: int, hi: int, probes: tuple[int, ...]):
+        return None  # leaves are stepped or scanned in the workers
+
     def scan_probed(
         self, lo: int, hi: int, probe: int, published: float, band
     ) -> tuple[int, float] | None:

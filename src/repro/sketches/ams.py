@@ -364,7 +364,7 @@ class AMSStack(SketchStack):
         self.sketches[plane] = sketch
 
     def save(self, planes):
-        sel = np.asarray(list(planes), dtype=np.intp)
+        sel = np.asarray(planes, dtype=np.intp)
         return sel, self.ys[sel]
 
     def restore(self, saved) -> None:

@@ -208,7 +208,7 @@ class CountMinStack(SketchStack):
     def feed(self, prepared, planes) -> None:
         if prepared is None:
             return
-        sel = np.asarray(list(planes), dtype=np.intp)
+        sel = np.asarray(planes, dtype=np.intp)
         if len(sel) == 0:
             return
         distinct = prepared.buckets.shape[2]
@@ -241,7 +241,7 @@ class CountMinStack(SketchStack):
         self.sketches[plane] = sketch
 
     def save(self, planes):
-        sel = np.asarray(list(planes), dtype=np.intp)
+        sel = np.asarray(planes, dtype=np.intp)
         return sel, self.tables[sel], [self.sketches[p]._f1 for p in sel.tolist()]
 
     def restore(self, saved) -> None:

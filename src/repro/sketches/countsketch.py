@@ -251,6 +251,14 @@ class CountSketch(PointQuerySketch):
         return table + hashes + candidates
 
 
+#: Bound on ``(sqrt(row mass) + sum |weight|)^2`` under which
+#: :meth:`CountSketchStack.prefix_estimates` is exact.  Every table cell
+#: and row mass reached by a prefix stays below the bound, and each
+#: per-update mass step ``2cw + w^2`` below three times it, so with the
+#: bound at 2^51 all of them are integers float64 holds exactly (< 2^53).
+EXACT_MASS_LIMIT = 2.0 ** 51
+
+
 class _CountSketchPrep:
     """A chunk aggregated, bucket-hashed and sign-weighted for all planes."""
 
@@ -258,11 +266,49 @@ class _CountSketchPrep:
 
     def __init__(self, unique, summed, buckets, signs):
         self.unique = unique  # sorted distinct items (np.unique order)
-        self.summed = summed  # float64 summed deltas (None: universe columns)
+        self.summed = summed  # float64 summed deltas
         self.buckets = buckets  # (planes, rows, distinct) bucket columns
         self.signs = signs  # (planes, rows, distinct) +-1.0 sign columns
-        # (planes, rows, distinct) sign * delta
-        self.weighted = None if summed is None else signs * summed
+        self.weighted = signs * summed  # (planes, rows, distinct) sign * delta
+
+
+class _CountSketchColumns:
+    """Cells and signs of every item of ``[0, universe)``, for all planes."""
+
+    __slots__ = ("unique", "cells", "signs", "work")
+
+    def __init__(self, unique, cells, signs):
+        self.unique = unique  # arange(universe): the hashed items
+        # (planes, rows, universe) offsets of each item's bucket into the
+        # flattened (planes, rows, width) tables
+        self.cells = cells
+        self.signs = signs  # (planes, rows, universe) +-1.0 sign columns
+        self.work = None  # sign * count buffer, made on the first dense feed
+
+
+class _CountSketchCounts:
+    """A chunk as item counts over the universe, fed through the live
+    universe columns (it holds no hash columns of its own, so a copy
+    installed mid-chunk only needs the columns refreshed).
+
+    ``support`` is ``None`` when the chunk covers at least an eighth of
+    the universe and ``counts`` is then the dense float64 count vector;
+    otherwise ``counts`` holds the counts at the sorted ``support`` only.
+    """
+
+    __slots__ = ("cols", "counts", "support")
+
+    def __init__(self, cols, counts, support):
+        self.cols = cols
+        self.counts = counts
+        self.support = support
+
+    @property
+    def unique(self) -> np.ndarray:
+        """Sorted distinct items of the chunk (candidate bookkeeping)."""
+        if self.support is not None:
+            return self.support
+        return np.flatnonzero(self.counts)
 
 
 class CountSketchStack(SketchStack):
@@ -283,6 +329,15 @@ class CountSketchStack(SketchStack):
         self.tables = stack_rows([s._table for s in self.sketches])
         for p, s in enumerate(self.sketches):
             s._table = self.tables[p]
+        # The block is C-contiguous, so this is a view every cell offset
+        # of the universe columns indexes into.
+        self._cells_view = self.tables.reshape(-1)
+        self._square = np.empty_like(self.tables)  # query_all's t * t
+        self._spare: list[np.ndarray] = []  # released whole-stack snapshots
+        self._all_planes = np.arange(self.planes, dtype=np.intp)
+
+    def _whole(self, sel: np.ndarray) -> bool:
+        return len(sel) == self.planes and bool((sel == self._all_planes).all())
 
     def _columns(self, sketches, items):
         """``(len(sketches), rows, len(items))`` bucket and sign columns
@@ -296,6 +351,12 @@ class CountSketchStack(SketchStack):
         sign_cols = sign_many_stacked(signs, items).reshape(shape)
         return cols.reshape(shape), sign_cols
 
+    def _row_offsets(self, planes) -> np.ndarray:
+        """``(len(planes), rows, 1)`` offsets of each (plane, row) block
+        in the flattened tables."""
+        blocks = np.asarray(planes, dtype=np.intp)[:, None] * self.rows
+        return ((blocks + np.arange(self.rows)) * self.width)[:, :, None]
+
     def prepare(self, items, deltas=None):
         items, deltas = as_batch_arrays(items, deltas)
         if len(items) == 0:
@@ -307,33 +368,40 @@ class CountSketchStack(SketchStack):
         )
 
     def prepare_universe(self, universe: int):
-        """Bucket/sign columns for all of ``[0, universe)``, hashed once.
+        """Cells and signs for all of ``[0, universe)``, hashed once.
 
-        Returned as a :class:`_CountSketchPrep` whose ``unique`` is the
-        full identity ``arange(universe)`` and whose ``weighted`` is
-        unset — :meth:`prepare_counts` gathers per-chunk supports out of
-        it, and :meth:`step_item` single items.  This trades
-        ``planes * rows * universe * 16`` bytes (held for the session)
-        for never hashing or sorting a chunk again.
+        Each item's bucket is stored as its flat offset into the
+        ``(planes, rows, width)`` tables, so feeding every plane is one
+        bincount over the columns with no per-chunk index arithmetic.
+        This trades ``planes * rows * universe * 16`` bytes (plus as much
+        again for the dense-feed buffer) held for the session for never
+        hashing or sorting a chunk again.
         """
         ids = np.arange(universe, dtype=np.int64)
-        return _CountSketchPrep(ids, None, *self._columns(self.sketches, ids))
+        buckets, signs = self._columns(self.sketches, ids)
+        buckets += self._row_offsets(self._all_planes)
+        return _CountSketchColumns(ids, buckets, signs)
 
     def prepare_counts(self, ucols, counts):
         """Prepared chunk from a dense count vector over the universe.
 
         For an insertion-only chunk, ``np.nonzero(counts)`` is exactly
         ``np.unique(items)`` and ``counts`` at the support is exactly
-        ``aggregate_batch``'s summed deltas, so the result equals
-        :meth:`prepare` bit for bit while skipping both the sort and the
-        hash pass.
+        ``aggregate_batch``'s summed deltas, so feeding the result equals
+        feeding :meth:`prepare`'s bit for bit while skipping both the
+        sort and the hash pass.  The result references ``ucols`` rather
+        than copying columns out of it.
         """
-        support = np.nonzero(counts)[0]
+        support = np.flatnonzero(counts)
         if len(support) == 0:
             return None
-        return _CountSketchPrep(
-            support.astype(np.int64), counts[support].astype(np.float64),
-            ucols.buckets[:, :, support], ucols.signs[:, :, support],
+        # A sparse feed gathers cells and signs at the support: about
+        # three dense elements' work each, plus heap temporaries a dense
+        # feed (into the columns' work buffer) avoids.
+        if 8 * len(support) >= len(counts):
+            return _CountSketchCounts(ucols, counts.astype(np.float64), None)
+        return _CountSketchCounts(
+            ucols, counts[support].astype(np.float64), support
         )
 
     def step_item(self, ucols, item, delta, planes) -> None:
@@ -344,13 +412,69 @@ class CountSketchStack(SketchStack):
         fancy-indexed add.  Candidate bookkeeping is *not* mirrored;
         callers gate on ``_track_candidates == 0``.
         """
-        sel = np.asarray(list(planes), dtype=np.intp)
+        sel = np.asarray(planes, dtype=np.intp)
         if len(sel) == 0:
             return
-        buckets = ucols.buckets[sel, :, item]
-        signs = ucols.signs[sel, :, item]
-        rows = np.arange(self.rows)
-        self.tables[sel[:, None], rows[None, :], buckets] += signs * float(delta)
+        self._cells_view[ucols.cells[sel, :, item]] += (
+            ucols.signs[sel, :, item] * float(delta)
+        )
+
+    def prefix_estimates(self, ucols, items, deltas, planes):
+        """Per-plane estimates after every prefix of a run of updates.
+
+        Returns a ``(len(items), len(planes))`` array whose row ``t``
+        equals ``query_all()[planes]`` after stepping ``items[:t + 1]``
+        one by one — without touching the tables — or ``None`` when the
+        run could leave float64's exact-integer range
+        (:data:`EXACT_MASS_LIMIT`), where the caller steps per item.
+
+        Tables only ever hold integers here, so a row's mass moves by
+        exactly ``2cw + w^2`` when weight ``w`` lands on a cell holding
+        ``c``.  ``c`` is the cell's value before the run plus the earlier
+        weights that landed on it: an exclusive running sum grouped by
+        (plane, row, cell).  A cumulative sum of the steps then gives
+        every prefix's row masses, and one median over rows the
+        estimates, exactly as ``query_all`` reduces them.
+        """
+        sel = np.asarray(planes, dtype=np.intp)
+        whole = self._whole(sel)
+        deltas = np.asarray(deltas, dtype=np.float64)
+        tables = self.tables if whole else self.tables[sel]
+        square = self._square if whole else None
+        mass = np.multiply(tables, tables, out=square).sum(axis=2)
+        # Signs are +-1, so every row's weights sum to |deltas| in size.
+        reach = np.sqrt(mass) + np.abs(deltas).sum()
+        if not bool((reach * reach < EXACT_MASS_LIMIT).all()):
+            return None
+        cells = (ucols.cells if whole else ucols.cells[sel])[:, :, items]
+        weights = (ucols.signs if whole else ucols.signs[sel])[:, :, items]
+        weights *= deltas
+        steps = self._cells_view[cells]  # each cell's value before the run
+        order = np.argsort(cells, axis=2, kind="stable")
+        grouped = np.take_along_axis(cells, order, axis=2)
+        del cells
+        # Position of the first update of each run of equal cells.
+        head = np.ones(grouped.shape, dtype=bool)
+        head[:, :, 1:] = grouped[:, :, 1:] != grouped[:, :, :-1]
+        del grouped
+        first = np.where(head, np.arange(head.shape[2]), 0)
+        del head
+        np.maximum.accumulate(first, axis=2, out=first)
+        ordered = np.take_along_axis(weights, order, axis=2)
+        earlier = np.cumsum(ordered, axis=2)
+        earlier -= ordered
+        earlier -= np.take_along_axis(earlier, first, axis=2)
+        del first
+        np.put_along_axis(ordered, order, earlier, axis=2)
+        del earlier, order
+        steps += ordered  # c: the cell's value just before each update
+        del ordered
+        steps *= 2.0
+        steps += weights
+        steps *= weights  # (2c + w) * w: the row-mass step of each update
+        np.cumsum(steps, axis=2, out=steps)
+        steps += mass[:, :, None]
+        return np.median(steps.transpose(2, 0, 1), axis=2)
 
     def subset(self, prepared, items, deltas=None):
         items, deltas = as_batch_arrays(items, deltas)
@@ -368,39 +492,78 @@ class CountSketchStack(SketchStack):
         )
 
     def refresh(self, prepared, plane: int) -> None:
+        if isinstance(prepared, _CountSketchCounts):
+            return  # reads the universe columns, which are refreshed
         cols, signs = self._columns([self.sketches[plane]], prepared.unique)
+        if isinstance(prepared, _CountSketchColumns):
+            prepared.cells[plane] = cols[0] + self._row_offsets([plane])[0]
+            prepared.signs[plane] = signs[0]
+            return
         prepared.buckets[plane], prepared.signs[plane] = cols[0], signs[0]
-        if prepared.weighted is not None:
-            prepared.weighted[plane] = prepared.signs[plane] * prepared.summed
+        prepared.weighted[plane] = prepared.signs[plane] * prepared.summed
 
     def feed(self, prepared, planes) -> None:
         if prepared is None:
             return
-        sel = np.asarray(list(planes), dtype=np.intp)
+        sel = np.asarray(planes, dtype=np.intp)
         if len(sel) == 0:
             return
-        distinct = prepared.buckets.shape[2]
-        rows = len(sel) * self.rows
-        flat = prepared.buckets[sel].reshape(rows, distinct)
-        flat = flat + np.arange(rows, dtype=np.intp)[:, None] * self.width
-        counts = np.bincount(
-            flat.ravel(),
-            weights=prepared.weighted[sel].ravel(),
-            minlength=rows * self.width,
-        )
-        self.tables[sel] += counts.reshape(len(sel), self.rows, self.width)
+        if isinstance(prepared, _CountSketchCounts):
+            self._feed_counts(prepared, sel)
+        else:
+            distinct = prepared.buckets.shape[2]
+            rows = len(sel) * self.rows
+            flat = prepared.buckets[sel].reshape(rows, distinct)
+            flat = flat + np.arange(rows, dtype=np.intp)[:, None] * self.width
+            counts = np.bincount(
+                flat.ravel(),
+                weights=prepared.weighted[sel].ravel(),
+                minlength=rows * self.width,
+            )
+            self.tables[sel] += counts.reshape(len(sel), self.rows, self.width)
+        tracking = [
+            self.sketches[p] for p in sel.tolist()
+            if self.sketches[p]._track_candidates
+        ]
+        if not tracking:
+            return
         unique_items = prepared.unique.tolist()
-        for p in sel.tolist():
-            sketch = self.sketches[p]
-            if sketch._track_candidates:
-                for item in unique_items:
-                    sketch._candidates[item] = None
-                if len(sketch._candidates) > 4 * sketch._track_candidates:
-                    sketch._prune_candidates()
+        for sketch in tracking:
+            for item in unique_items:
+                sketch._candidates[item] = None
+            if len(sketch._candidates) > 4 * sketch._track_candidates:
+                sketch._prune_candidates()
+
+    def _feed_counts(self, prepared, sel: np.ndarray) -> None:
+        """Scatter a counts prep: one sign * count product, one bincount
+        over the flat cell offsets, one in-place add.  Per-cell sums are
+        integers, so they equal the object path's bit for bit."""
+        cols = prepared.cols
+        whole = self._whole(sel)
+        if prepared.support is None and whole:
+            if cols.work is None:
+                cols.work = np.empty_like(cols.signs)
+            cells = cols.cells
+            weights = np.multiply(cols.signs, prepared.counts, out=cols.work)
+        else:
+            cells = cols.cells if whole else cols.cells[sel]
+            weights = cols.signs if whole else cols.signs[sel]
+            if prepared.support is not None:
+                cells = cells[:, :, prepared.support]
+                weights = weights[:, :, prepared.support]
+            weights = weights * prepared.counts
+        sums = np.bincount(
+            cells.reshape(-1), weights=weights.reshape(-1),
+            minlength=self.tables.size,
+        ).reshape(self.tables.shape)
+        if whole:
+            self.tables += sums
+        else:
+            self.tables[sel] += sums[sel]
 
     def query_all(self) -> np.ndarray:
-        row_mass = (self.tables * self.tables).sum(axis=2)
-        return np.median(row_mass, axis=1)
+        row_mass = np.multiply(self.tables, self.tables, out=self._square)
+        return np.median(row_mass.sum(axis=2), axis=1)
 
     def install(self, plane: int, sketch) -> None:
         if sketch._table.shape != self.tables[plane].shape:
@@ -410,12 +573,22 @@ class CountSketchStack(SketchStack):
         self.sketches[plane] = sketch
 
     def save(self, planes):
-        sel = np.asarray(list(planes), dtype=np.intp)
+        sel = np.asarray(planes, dtype=np.intp)
+        if self._whole(sel) and self._spare:
+            tables = self._spare.pop()
+            np.copyto(tables, self.tables)
+        else:
+            tables = self.tables[sel]
         return (
             sel,
-            self.tables[sel],
+            tables,
             [dict(self.sketches[p]._candidates) for p in sel.tolist()],
         )
+
+    def release(self, saved) -> None:
+        tables = saved[1]
+        if tables.shape == self.tables.shape:
+            self._spare.append(tables)
 
     def restore(self, saved) -> None:
         sel, tables, candidates = saved

@@ -280,7 +280,7 @@ class KMVStack(SketchStack):
     def feed(self, prepared, planes) -> None:
         if prepared is None:
             return
-        sel = np.asarray(list(planes), dtype=np.intp)
+        sel = np.asarray(planes, dtype=np.intp)
         if len(sel) == 0:
             return
         block = self.mins
@@ -310,7 +310,7 @@ class KMVStack(SketchStack):
         self.sketches[plane] = sketch
 
     def save(self, planes):
-        sel = np.asarray(list(planes), dtype=np.intp)
+        sel = np.asarray(planes, dtype=np.intp)
         return sel, self.mins[sel]
 
     def restore(self, saved) -> None:

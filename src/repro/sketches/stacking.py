@@ -88,8 +88,9 @@ class SketchStack(abc.ABC):
 
         Returns an opaque prepared-chunk object that :meth:`feed` can
         scatter into any subset of planes; the whole point is that one
-        ``prepare`` is reused across probe, feed-others, and catch-up
-        passes over the same staged chunk.  Must perform the same input
+        ``prepare`` of a staged chunk is reused by its probe and
+        feed-others passes, and that subranges of it (:meth:`subset`)
+        need no hash pass of their own.  Must perform the same input
         validation, in the same order, as the sketch's ``update_batch``.
         """
 
@@ -102,6 +103,9 @@ class SketchStack(abc.ABC):
         then builds prepared chunks from a dense count vector without
         sorting or re-hashing anything.  The base implementation returns
         ``None`` (unsupported), which keeps the per-chunk prepare path.
+        Stacks that return columns also implement ``step_item`` (one
+        update across planes) and ``prefix_estimates`` (every prefix's
+        estimates of a run of updates, without feeding it).
         """
         return None
 
@@ -110,10 +114,12 @@ class SketchStack(abc.ABC):
 
         ``counts[i]`` is the summed delta of item ``i`` over the chunk
         (``np.bincount`` of the chunk's items); ``ucols`` comes from
-        :meth:`prepare_universe`.  The result is bit-for-bit the
-        :meth:`prepare` of the same chunk: the nonzero support of an
-        insertion-only count vector *is* the sorted distinct-item set,
-        and the gathered hash columns are the same hash evaluations.
+        :meth:`prepare_universe`.  Feeding the result is bit-for-bit
+        feeding the :meth:`prepare` of the same chunk: the nonzero
+        support of an insertion-only count vector *is* the sorted
+        distinct-item set, and the universe columns hold the same hash
+        evaluations.  The result may read ``ucols`` when fed rather than
+        copy from it, so it stays valid while ``ucols`` is refreshed.
         Only stacks whose :meth:`prepare_universe` returns non-``None``
         implement this.
         """
@@ -177,6 +183,11 @@ class SketchStack(abc.ABC):
     @abc.abstractmethod
     def save(self, planes):
         """Snapshot the given planes (stacked array copy + scalar state)."""
+
+    def release(self, saved) -> None:
+        """Hand a :meth:`save` snapshot back once it is restored or
+        discarded; the caller must not use it again.  A stack may recycle
+        its arrays for the next ``save`` (the base keeps nothing)."""
 
     @abc.abstractmethod
     def restore(self, saved) -> None:

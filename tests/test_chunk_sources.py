@@ -417,4 +417,17 @@ class TestIngestSourceSurface:
             ingest(est, source=path)
         with pytest.raises(StoreFormatError):
             ingest(est, source=tmp_path / path, engine="serial")
+        # The positional (stream=) form routes the same way.
+        with pytest.raises(StoreFormatError, match="no header"):
+            ingest(est, path)
+        with pytest.raises(StoreFormatError):
+            ingest(est, tmp_path / path, engine="serial")
         assert est.query() == 0.0 and not est._ingested
+
+    def test_store_path_positional_replays_the_store(self, tmp_path):
+        updates = [Update(i % 16, 1) for i in range(1_000)]
+        write_stream(tmp_path / "s", updates, chunk_size=128)
+        a = ingest(_stacked_dp(), str(tmp_path / "s"), chunk_size=250)
+        b = ingest(_stacked_dp(), source=tmp_path / "s", chunk_size=250)
+        assert a.updates == b.updates == 1_000
+        assert a.final_estimate == b.final_estimate
