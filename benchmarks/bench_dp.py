@@ -17,19 +17,17 @@ charged per *checkpoint* — the gate demands strictly more publications
 per strong charge than the plain DP discipline (which pays one charge
 per publication by construction, ratio 1.0) **and** less total space at
 equal (in-band) accuracy, with the published outputs bit-for-bit
-identical across the serial batched, SerialEngine, and ProcessEngine
-paths (the per-item path is property-tested in
-``tests/test_band_equivalence.py``).
+identical across the serial batched and SerialEngine paths (the
+per-item path is property-tested in ``tests/test_band_equivalence.py``).
 
 Both DP trackers also run through the execution engine (probe sets are
 part of the shard plan since the discipline refactor):
 ``dp_engine_serial`` and ``dpde_engine_serial`` must be bit-for-bit
 identical to their serial batched paths and >= MIN_DP_ENGINE_SPEEDUP
 over them (the shared-work hoists — the chunk is deduped once for the
-whole copy set — are discipline-agnostic).  The process rows are
-recorded for the trajectory but not hard-gated: the probe fan-out pays
-one extra command round per worker per chunk, which the 1-cpu CI
-container cannot amortize with real cores.
+whole copy set — are discipline-agnostic).  There is no process row: a
+:class:`ProcessEngine` opens the same serial session for switching
+estimators.
 
 Emits ``out/parallel_dp.{txt,json}``; ``run_all.py`` folds the JSON into
 ``BENCH_parallel.json``, and ``benchmarks/check_regression.py``
@@ -41,7 +39,7 @@ import time
 
 import numpy as np
 
-from repro.engine import ProcessEngine, SerialEngine, fork_available
+from repro.engine import SerialEngine
 from repro.robust.distinct import RobustDistinctElements
 from repro.robust.dp import RobustDPDEDistinctElements, RobustDPDistinctElements
 from repro.streams.frequency import FrequencyVector
@@ -58,7 +56,6 @@ M = 1_000_000
 #: same rule.
 CHUNK = 4096
 EPS = 0.25
-WORKERS = 4
 WIDTHS = (30, 12, 10, 10, 12, 10)
 MIN_DP_ENGINE_SPEEDUP = 1.5
 MIN_SPACE_ADVANTAGE = 2.0
@@ -114,8 +111,7 @@ def test_dp_discipline_space_and_throughput(benchmark):
         WIDTHS,
     )]
     payload = {
-        "n": N, "m": M, "chunk": CHUNK, "eps": EPS, "workers": WORKERS,
-        "results": {},
+        "n": N, "m": M, "chunk": CHUNK, "eps": EPS, "results": {},
     }
 
     def run_all():
@@ -136,14 +132,9 @@ def test_dp_discipline_space_and_throughput(benchmark):
         }
 
         def run_family(prefix, build):
-            """Replay one tracker family over the three execution paths."""
+            """Replay one tracker family over both execution paths."""
             contenders = [(f"{prefix}_pr1_serial_batched", None),
                           (f"{prefix}_engine_serial", SerialEngine())]
-            if fork_available():
-                contenders.append(
-                    (f"{prefix}_engine_process_{WORKERS}w",
-                     ProcessEngine(WORKERS))
-                )
             results = {}
             for name, engine in contenders:
                 est = build()

@@ -5,9 +5,8 @@ asserts bit-for-bit equivalence (identical published outputs and switch
 counts) and its speed gate.  Each family is its own test and emits its
 own ``out/parallel_<family>.{txt,json}`` payload only once every assert
 has passed, so a failed gate blanks only that family's rows.
-``run_all.py`` runs this file with ``pytest -x``, so the process-engine
-families come last: the serial rows CI requires are written before any
-process gate can stop the session.
+Switching estimators run on :class:`SerialEngine` only: a
+:class:`ProcessEngine` opens the same serial session for them.
 
 Families, in run order:
 
@@ -36,12 +35,8 @@ Families, in run order:
   stacked bytes row.
 * **store** — a CountMin replay from a columnar store with double
   buffered prefetch, exact against in-memory ingestion.
-* **merge** — per-partial merge sharding (CountMin across workers),
-  exact against serial.
-* **entropy_process**, **engine_process** — the two switching families
-  on :class:`ProcessEngine` (copies sharded across forked workers over
-  shared-memory chunk buffers), each gated at >= ``MIN_PARALLEL_SPEEDUP``
-  over its batched baseline.
+* **merge** — per-partial merge sharding (CountMin across forked
+  workers over shared-memory chunk buffers), exact against serial.
 
 ``benchmarks/check_regression.py`` gates CI on the ``speedup_vs_pr1``
 columns against the committed ``BENCH_parallel.json``.
@@ -559,46 +554,5 @@ def test_countmin_merge_shards(benchmark, items, serial_countmin):
                   "speedup_vs_serial": round(rate / serial_rate, 2)}}},
               f"CountMin(2048x5) partials on {WORKERS} forked workers, "
               f"speedup vs serial update_batch")
-
-    _bench(benchmark, run)
-
-
-# ----------------------------------------------------------------------
-# Process-engine switching rows (last: their gates may stop the session)
-# ----------------------------------------------------------------------
-
-
-@needs_fork
-def test_entropy_engine_process(benchmark, ent_items, ent_truth,
-                                entropy_baseline):
-    name = f"entropy_engine_process_{WORKERS}w"
-
-    def run():
-        _switching_family(
-            "entropy_process", ent_items,
-            ("entropy_pr1_serial_batched", entropy_baseline),
-            (name, ProcessEngine(workers=WORKERS)), _robust_entropy,
-            _entropy_row, ent_truth,
-            ENTROPY_NOTE + f"; {WORKERS} forked workers",
-            gated=True,
-        )
-
-    _bench(benchmark, run)
-
-
-@needs_fork
-def test_switching_engine_process(benchmark, items, f0_truth,
-                                  switching_baseline):
-    name = f"engine_process_{WORKERS}w"
-
-    def run():
-        _switching_family(
-            "engine_process", items,
-            ("pr1_serial_batched", switching_baseline),
-            (name, ProcessEngine(workers=WORKERS)), _robust, _switching_row,
-            f0_truth,
-            ENGINE_NOTE + f"; {WORKERS} forked workers over shared memory",
-            gated=True,
-        )
 
     _bench(benchmark, run)

@@ -40,27 +40,6 @@ def speedups(report: dict) -> dict[str, float]:
     return out
 
 
-def multi_worker_meaningful(report: dict) -> bool:
-    """Did this report's machine have >1 physical core to parallelize on?
-
-    Reports from ``run_all.py`` carry the answer in their machine
-    metadata; older reports without it fall back to core counts, and a
-    report that says nothing at all is assumed meaningful (never skip a
-    gate on missing evidence).
-    """
-    machine = report.get("machine", {})
-    flag = machine.get("multi_worker_meaningful")
-    if flag is not None:
-        return bool(flag)
-    cores = machine.get("physical_cores") or machine.get("cpu_count")
-    return cores is None or cores > 1
-
-
-def is_process_row(key: str) -> bool:
-    """Multi-worker rows: the process-engine speedup columns."""
-    return "process" in key
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", required=True,
@@ -76,14 +55,8 @@ def main() -> int:
                              "fails the gate instead of being skipped")
     args = parser.parse_args()
 
-    fresh_report = json.loads(pathlib.Path(args.fresh).read_text())
     baseline = speedups(json.loads(pathlib.Path(args.baseline).read_text()))
-    fresh = speedups(fresh_report)
-    gate_process_rows = multi_worker_meaningful(fresh_report)
-    if not gate_process_rows:
-        print("fresh report was measured on a single physical core: "
-              "process-engine speedup gates skipped (multi-worker rows "
-              "cannot show real parallelism there)")
+    fresh = speedups(json.loads(pathlib.Path(args.fresh).read_text()))
 
     failures = []
     missing_required = [key for key in args.require if key not in fresh]
@@ -95,10 +68,6 @@ def main() -> int:
     for key in sorted(baseline):
         if key not in fresh:
             print(f"  {key:<36} missing from fresh report -- skipped")
-            continue
-        if is_process_row(key) and not gate_process_rows:
-            print(f"  {key:<36} baseline {baseline[key]:6.2f}x  "
-                  f"fresh {fresh[key]:6.2f}x  skipped (1-core machine)")
             continue
         floor = (1.0 - args.tolerance) * baseline[key]
         status = "ok" if fresh[key] >= floor else "REGRESSION"

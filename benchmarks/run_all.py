@@ -16,8 +16,8 @@ meaningless without them), into the repo-root reports:
 * ``BENCH_ingest.json`` — the batched-vs-per-item ingestion trajectory
   (``bench_ingest.py`` and the accuracy benchmarks);
 * ``BENCH_parallel.json`` — the execution-engine trajectory
-  (``bench_parallel.py``: sharded switching, merge shards, columnar
-  store replay).
+  (``bench_parallel.py`` and ``bench_dp.py``: serial-engine switching,
+  stacked copy groups, merge shards, columnar store replay).
 
 Payloads whose name starts with ``parallel`` land in the parallel
 report; everything else in the ingest report.
@@ -62,10 +62,9 @@ def physical_cores() -> int | None:
     """Distinct physical cores from /proc/cpuinfo, or None off-Linux.
 
     ``os.cpu_count()`` counts logical CPUs (hyperthreads included), but
-    multi-worker speedup rows are only meaningful on distinct physical
-    cores; counting unique ``(physical id, core id)`` pairs tells the
-    regression gate whether a process-engine row measured real
-    parallelism.
+    multi-worker rows (the merge shards) only measure real parallelism
+    on distinct physical cores; counting unique ``(physical id, core
+    id)`` pairs records how many there were.
     """
     try:
         with open("/proc/cpuinfo") as fh:
@@ -93,15 +92,9 @@ def machine_metadata() -> dict:
     """What the throughput numbers were measured on."""
     import numpy
 
-    cores = physical_cores()
-    logical = os.cpu_count()
     meta = {
-        "cpu_count": logical,
-        "physical_cores": cores,
-        # Whether process-engine rows in this report measured real
-        # parallelism; check_regression.py skips multi-worker speedup
-        # gates when a report says they could not have.
-        "multi_worker_meaningful": (cores or logical or 1) > 1,
+        "cpu_count": os.cpu_count(),
+        "physical_cores": physical_cores(),
         "machine": platform.machine(),
         "platform": platform.platform(),
         "python": sys.version.split()[0],

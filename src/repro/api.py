@@ -184,7 +184,9 @@ class IngestReport:
     items_per_sec: float
     final_estimate: float
     #: Execution mode: "direct" (plain update_batch), "serial" (engine
-    #: shared-work path), or "process[N]" (N forked workers).
+    #: shared-work path), or "process[N]" (N forked workers — only the
+    #: heavy-hitters epoch ring and merge sessions fork; switching
+    #: estimators under a process engine report "serial").
     mode: str = "direct"
     #: Band-policy name driving the estimator's switching protocol
     #: ("multiplicative", "additive", "epoch"), or None when the
@@ -202,17 +204,13 @@ class IngestReport:
     #: Cumulative per-phase wall-clock seconds of the switching protocol
     #: — engine sessions with a switching core only; None on the direct
     #: path and for sessions without a protocol.  Coordinator-side keys:
-    #: "probe" (probing the discipline's read set, including wall time
-    #: blocked on worker replies), "band_test" (boundary band decisions),
-    #: "feed" (non-probed fan-out feeds as seen by the coordinator —
-    #: fire-and-forget under ProcessEngine, so coordinator feed seconds
-    #: understate worker work), "replace" (publication bookkeeping and
-    #: copy replacement).  ProcessEngine sessions add worker-side totals
-    #: summed across workers under separate keys — "worker_probe",
-    #: "worker_feed", "worker_replace" — rather than folding them into
-    #: the coordinator phases, which would double-count the blocking
-    #: probe time; the worker keys are where fire-and-forget feed work
-    #: actually shows up.
+    #: "probe" (probing the discipline's read set), "band_test"
+    #: (boundary band decisions), "feed" (non-probed fan-out feeds),
+    #: "replace" (publication bookkeeping and copy replacement).  A
+    #: heavy-hitters session whose ring ran on ProcessEngine workers adds
+    #: the workers' totals, summed across workers, under separate keys —
+    #: "worker_feed" and "worker_replace": the ring's feeds are
+    #: fire-and-forget, so that is where their work shows up.
     phase_seconds: dict | None = None
     #: How a ``source=`` chunk source was executed — "universe" (serial
     #: counts-based fast path) or "bytes: <reason>" (the ordinary
@@ -316,10 +314,11 @@ def ingest(
     ``engine`` selects the execution engine (``None`` for the direct
     path, ``"serial"``, ``"process"``, ``"process:N"``, a worker count,
     or an :class:`repro.engine.ExecutionEngine`): switching estimators —
-    multiplicative, additive (entropy), or the heavy-hitters epoch
-    wrapper — fan their copies out across workers, mergeable sketches
-    shard per partial, everything else falls back to the deterministic
-    serial path with identical outputs.  ``prefetch`` (a queue depth;
+    multiplicative or additive (entropy) — fan each chunk out to their
+    copies on this process under every engine, the heavy-hitters epoch
+    wrapper shards its point-query ring across process workers,
+    mergeable sketches shard per partial, and everything else falls back
+    to the deterministic serial path with identical outputs.  ``prefetch`` (a queue depth;
     ``2`` = double buffering) overlaps chunk generation or disk reads
     with ingestion.
 
@@ -345,7 +344,7 @@ def ingest(
     each event, or a pre-built :class:`repro.obs.Telemetry`.  The hub is
     bound to the estimator's switching core via
     :func:`install_telemetry`, threaded through the prefetcher and the
-    execution engine (ProcessEngine workers buffer events and span
+    execution engine (ProcessEngine ring workers buffer events and span
     timings locally and ship them back at collection), and the merged
     snapshot lands in ``IngestReport.telemetry``.  Telemetry observes —
     it never draws randomness or touches protocol state — so outputs
@@ -366,11 +365,12 @@ def ingest(
     a store row range — or a store (path or
     :class:`~repro.streams.store.ColumnarStreamStore`); a path that does
     not open as a store raises.  Chunks are materialized on this process
-    and fed like any other stream.  Serial switching sessions use the
-    source's declared item universe for the counts-based fast path when
-    the copy set licenses it; every other session — process engines
-    included — plus ad-hoc iterables passed as ``source`` and any replay
-    teeing through ``spill_store`` take the ordinary bytes path.
+    and fed like any other stream.  Switching sessions — under either
+    engine — use the source's declared item universe for the
+    counts-based fast path when the copy set licenses it; every other
+    session (epoch, merge, plain), ad-hoc iterables passed as ``source``
+    and any replay teeing through ``spill_store`` take the ordinary
+    bytes path.
     ``IngestReport.source_mode`` records which path ran and why.
     Applies to oblivious replay only, like the rest of this surface.
 

@@ -25,8 +25,8 @@ chunked/sharded drive loop in :mod:`repro.core.sketch_switching` and
 la Hassidim et al. 2020, importance sampling) is one new policy, not a
 new hand-rolled loop.
 
-Policies are small frozen dataclasses: hashable, picklable (the process
-engine ships them to workers inside scan commands), and comparable.
+Policies are small frozen dataclasses: hashable, picklable, and
+comparable.
 
 The *bisectable* contract
 -------------------------

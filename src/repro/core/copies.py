@@ -40,8 +40,9 @@ independent instances of a static sketch, one active at a time.  The
 
 The band decision itself lives in :mod:`repro.core.bands`; the drive
 loop in :mod:`repro.core.sketch_switching`.  :class:`LocalCopyBackend`
-is the in-process realisation of the copy-backend interface the drive
-loop talks to (the process engine provides the forked-worker twin).
+is the copy-backend interface the drive loop talks to (the process
+engine's heavy-hitters ring backend implements its uniform-feed part
+across forked workers).
 """
 
 from __future__ import annotations
@@ -437,10 +438,10 @@ class CopyManager:
 class LocalCopyBackend:
     """In-process copy backend: feeds and snapshots act on the manager.
 
-    One of the two realisations of the copy-backend interface the
-    switching protocol drives (the other lives in
-    :mod:`repro.engine.executor` and shards the copies across forked
-    workers).  Methods come in two groups: *probed-copy probe/search*
+    The copy-backend interface the switching protocol drives (the
+    process engine's ring backend in :mod:`repro.engine.executor`
+    implements its uniform-feed part across forked workers).  Methods
+    come in two groups: *probed-copy probe/search*
     ops, which snapshot/feed/step the copies the estimator's probe
     discipline reads (the active copy alone under
     :class:`~repro.core.disciplines.ActiveCopyDiscipline`, every copy
@@ -685,10 +686,12 @@ class LocalCopyBackend:
     ) -> tuple[int, float] | None:
         """Per-item scan for the first band crossing in [lo, hi).
 
-        Single-probe fast path (identity-decide disciplines only): the
-        band predicate is applied where the copy lives, with no
-        round-trip per item.  Aggregating disciplines scan through
-        :meth:`step_probed` with the decision made by the protocol.
+        Single-probe fast path (identity-decide disciplines only): one
+        loop over the leaf's Python ints feeds the copy and applies the
+        band predicate inline, without the per-item probe array, stack
+        plan and discipline ``decide`` call that :meth:`step_probed`
+        pays.  Aggregating disciplines scan through :meth:`step_probed`
+        with the decision made by the protocol.
         """
         sk = self._copies.sketches[probe]
         items = self._items[lo:hi].tolist()

@@ -45,8 +45,7 @@ The protocol driver (:class:`~repro.core.sketch_switching
 which copies a probe (and a crossing search) may read, collapses their
 estimates through :meth:`ProbeDiscipline.decide`, and hands publication
 side effects to :meth:`ProbeDiscipline.on_publish`.  Determinism across
-execution paths (per-item, serial chunked, SerialEngine, ProcessEngine)
-holds by the same argument as for bands and copies: every noise draw and
+execution paths (per-item, serial chunked, engine sessions) holds by the same argument as for bands and copies: every noise draw and
 every replacement RNG derivation happens on the coordinator, keyed to
 the publication count, which all paths agree on.
 
@@ -166,9 +165,9 @@ class ProbeDiscipline(abc.ABC):
 
     #: True when ``decide([y]) == y`` — a single-copy probe needs no
     #: coordinator-side aggregation, so the backend may resolve a
-    #: per-item crossing scan where the copy lives (the worker-side
-    #: ``ascan`` fast path).  Aggregating disciplines return their
-    #: estimates to the coordinator instead.
+    #: per-item crossing scan in one tight loop (its ``scan_probed``
+    #: fast path).  Aggregating disciplines return their estimates to
+    #: the protocol instead.
     identity_decide: bool = True
 
     def bind(self, copies: CopyManager) -> None:
@@ -209,9 +208,9 @@ class ProbeDiscipline(abc.ABC):
     ) -> None:
         """Copy-lifecycle side effects of one publication.
 
-        ``replace(index, rng)`` installs a rebuilt copy wherever it
-        lives (possibly a worker process); RNGs are always derived on
-        the coordinator via :meth:`CopyManager.replacement_rng`.
+        ``replace(index, rng)`` installs a rebuilt copy through the
+        backend; RNGs are always derived on the coordinator via
+        :meth:`CopyManager.replacement_rng`.
         """
 
     def budget_state(self) -> dict | None:
@@ -404,8 +403,7 @@ class DifferenceAggregateDiscipline(ProbeDiscipline):
     tier's (small) copy group is probed — the strong copies and the
     other tiers ride along as batch-fed "others" — and the checkpoint
     publication probes **all** groups, because anchoring needs every
-    group's aggregate at the same stream position.  The backends fan
-    either probe set out to whichever workers own the copies.
+    group's aggregate at the same stream position.
 
     Parameters
     ----------

@@ -45,8 +45,8 @@ Determinism across execution paths holds by the PR-4 argument extended
 per group: every promotion, anchoring, and budget decision is a pure
 function of the decision estimates at publication positions, and every
 noise/replacement RNG draw happens on the coordinator keyed to the
-publication count — so per-item, chunked, SerialEngine, and
-ProcessEngine replays agree bit for bit.
+publication count — so per-item, chunked, and engine replays agree
+bit for bit.
 """
 
 from __future__ import annotations

@@ -71,10 +71,10 @@ band exit that fully reverts within one *clean* chunk is coalesced away
 always runs per item (adaptivity needs round granularity) and batching
 is reserved for oblivious replay.
 
-The parallel execution engine (:mod:`repro.engine`) runs the identical
-:class:`SwitchingProtocol` with the copies sharded across worker
-processes; because serial chunked ingestion and both engines share one
-drive loop, one switch-commit site (:meth:`SwitchingEstimator._commit_switch`,
+The execution engine (:mod:`repro.engine`) runs the identical
+:class:`SwitchingProtocol` with the shard plan's shared-work hoists
+applied (on the calling process under every engine); because serial
+chunked ingestion and the engine sessions share one drive loop, one switch-commit site (:meth:`SwitchingEstimator._commit_switch`,
 also used by the per-item path), one band implementation, and one
 replacement-RNG derivation (:meth:`CopyManager.replacement_rng`, always
 called on the coordinator), their published outputs and switch counts
@@ -325,9 +325,9 @@ class SwitchingProtocol:
 
     Owns the protocol state transitions (published value, switch count,
     copy lifecycle consequences) on the coordinator; the backend owns
-    the copies — in-process (:class:`~repro.core.copies.LocalCopyBackend`,
-    used by ``update_chunk``) or sharded across forked workers
-    (:mod:`repro.engine.executor`).  The estimator's
+    the copies — :class:`~repro.core.copies.LocalCopyBackend` (used by
+    ``update_chunk`` and the engine sessions) or the universe fast
+    path's :class:`~repro.core.copies.UniverseLocalBackend`.  The estimator's
     :class:`~repro.core.disciplines.ProbeDiscipline` names the copies a
     band decision reads — the active copy alone for Algorithm 1, every
     copy for the DP private aggregate — so the driver probes *those*
@@ -454,8 +454,7 @@ class SwitchingProtocol:
             # Clean chunk (the common case): the probed copies already
             # have it; give the others the same pre-processed feed.  An
             # all-copy probe (the DP discipline) leaves no others — skip
-            # the guaranteed no-op rather than pay one feed command per
-            # worker for it.
+            # the guaranteed no-op.
             self._backend.keep_probed(probes)
             if len(probes) < self._copies.count:
                 if probed_sub:
@@ -579,11 +578,12 @@ class SwitchingProtocol:
         turns them into decision estimates, the first one outside the
         band is the crossing, and one ``feed_probed`` brings the probed
         copies up to it.  Otherwise identity-decide disciplines with a
-        single probed copy resolve the scan where the copy lives (one
-        command, no per-item round trips), and aggregating disciplines
-        step the probe set per item and decide on the coordinator —
-        leaves are at most ``REPLAY_LEAF`` updates and crossing chunks
-        are rare, so the round trips are bounded.
+        single probed copy resolve the scan in the backend's one tight
+        per-item loop (``scan_probed``: no probe array or ``decide``
+        call per item), and aggregating disciplines step the probe set
+        per item and decide here — leaves are at most ``REPLAY_LEAF``
+        updates and crossing chunks are rare, so the per-item steps are
+        bounded.
         """
         sw = self._sw
         backend = self._backend

@@ -1,4 +1,4 @@
-"""Parallel execution engine: sharded multi-copy ingestion.
+"""Execution engine: planned multi-copy ingestion.
 
 Sketch switching's robustness budget is paid in *copies* — many
 independent instances of a static sketch, every one fed every update —
@@ -14,9 +14,11 @@ multiplied work into a sharded execution plan:
   sketches, explicit serial fallback otherwise) and the shared-work
   hoists it licenses;
 * :mod:`repro.engine.executor` — run the plan on this process
-  (:class:`SerialEngine`) or across forked workers over shared-memory
-  chunk buffers (:class:`ProcessEngine`), bit-for-bit equivalent to the
-  serial batched path for exact-state sketches;
+  (:class:`SerialEngine`), or fork it across workers over shared-memory
+  chunk buffers (:class:`ProcessEngine`: the heavy-hitters epoch ring
+  and merge partials; switching plans open the serial session), all
+  bit-for-bit equivalent to the serial batched path for exact-state
+  sketches;
 * :mod:`repro.engine.prefetch` — double-buffered chunk prefetching that
   overlaps chunk generation / disk reads with ingestion.
 

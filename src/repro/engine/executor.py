@@ -1,45 +1,40 @@
 """Execution engines: serial and process-pool drivers for shard plans.
 
 The paper's robustness frameworks multiply work — sketch switching runs
-``Theta(eps^-1 log eps^-1)`` independent copies of a static sketch — and
-that work is embarrassingly parallel per copy.  This module executes the
-plans of :mod:`repro.engine.shards` two ways:
+``Theta(eps^-1 log eps^-1)`` independent copies of a static sketch.
+This module executes the plans of :mod:`repro.engine.shards` two ways:
 
 * :class:`SerialEngine` — everything on the calling process, but with the
   plan's shared-work hoists applied: the chunk is deduped/aggregated
   *once* and the result fanned out to every copy, instead of every copy
-  re-deduping the same chunk.  This is also the deterministic fallback
-  when process parallelism is unavailable.
-* :class:`ProcessEngine` — copies (or merge partials) live in forked
-  worker processes; every chunk, including one materialized from a
-  :class:`~repro.streams.sources.ChunkSource`, travels as bytes through
-  shared-memory buffers (one ``memcpy`` in, zero copies out), and only
-  tiny protocol messages cross the command pipes.  Requires the
-  ``fork`` start method (the workers inherit sketch state and factories
-  by address space, not pickling).  It has one process session per plan
-  kind (switching, epoch ring, merge); for everything else — ``fork``
-  unavailable, one worker, one copy, no parallel plan — it opens
-  exactly the :class:`SerialEngine` session, bit-for-bit.
+  re-deduping the same chunk.  Switching sessions drive the
+  :class:`~repro.core.sketch_switching.SwitchingProtocol` over a
+  :class:`~repro.core.copies.LocalCopyBackend` (or the universe fast
+  path's :class:`~repro.core.copies.UniverseLocalBackend`).
+* :class:`ProcessEngine` — two plan kinds fork: the heavy-hitters epoch
+  ring (:class:`EpochShardPlan`: ring copies sharded across workers, the
+  inner L2 switcher and the epoch clock on the coordinator) and merge
+  plans (:class:`MergeShardPlan`: one partial per worker).  Chunks
+  travel as bytes through shared-memory buffers (one ``memcpy`` in,
+  zero copies out), and only tiny messages cross the command pipes.
+  Requires the ``fork`` start method (the workers inherit sketch state
+  and factories by address space, not pickling).  Switching plans, and
+  everything else without a forking kind, open exactly the
+  :class:`SerialEngine` session, bit-for-bit: the copies of a switching
+  estimator all read the same chunk, and sharding them across workers
+  lost to the serial session on every workload measured.
 
-Both engines drive the **same**
-:class:`~repro.core.sketch_switching.SwitchingProtocol` that serial
-chunked ingestion (``update_chunk``) uses — the coordinator asks the
+Every switching session drives the **same** protocol that serial chunked
+ingestion (``update_chunk``) uses — the coordinator asks the
 estimator's :class:`~repro.core.bands.BandPolicy` whether the boundary
 estimate ``band.crossed(...)`` the publish band, and the protocol
-resolves crossings by snapshot bisection of the active copy — per-item
+resolves crossings by snapshot bisection of the probed copies — per-item
 exact for bisectable bands, cell-granularity coalescing for the
-additive band (see :mod:`repro.core.bands`).  The engines
-differ from ``update_chunk`` only in *where the copies live* (a
-:class:`~repro.core.copies.LocalCopyBackend` versus forked workers) and
-in the shard plan's shared-work hoists; published outputs, switch
-counts, and restart RNG draws agree across serial chunked, SerialEngine,
-and ProcessEngine by construction — one drive loop, one band
-implementation, one coordinator-side replacement-RNG derivation.  This
-covers every band policy: multiplicative (F0/Fp/L2), additive (entropy,
-previously stuck on the serial path), and the heavy-hitters epoch
-construction (:class:`EpochShardPlan`: the inner L2 switcher is driven
-through the switching protocol while the CountSketch ring fans out as a
-uniform feed with the epoch clock on the coordinator).
+additive band (see :mod:`repro.core.bands`).  Sessions differ from
+``update_chunk`` only in the shard plan's shared-work hoists and, for
+the epoch ring, in where the ring copies live; published outputs,
+switch counts, and restart RNG draws agree across the direct chunked
+path and both engines by construction.
 
 Bit-for-bit caveats are inherited from the chunked pipeline, not added
 by the engines: exact-state sketches reproduce the per-item protocol
@@ -75,7 +70,6 @@ from repro.engine.shards import (
     EpochShardPlan,
     MergeShardPlan,
     SwitchingShardPlan,
-    partition_copies,
     plan_shards,
     source_mode_for,
 )
@@ -92,28 +86,21 @@ class EngineError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Process backend: where sharded copies live and how they are fed
+# Process ring backend: where sharded ring copies live and how they are fed
 # ----------------------------------------------------------------------
 
 
-def _switching_worker(conn, copies, factories, views, unique_hint: bool,
-                      worker_id: int = 0, trace: bool = False) -> None:
-    """Forked worker: owns a shard of copies, obeys coordinator commands.
+def _ring_worker(conn, copies, factories, views, unique_hint: bool,
+                 worker_id: int = 0, trace: bool = False) -> None:
+    """Forked worker: owns a shard of a uniform-feed ring's copies.
 
     ``copies`` is a list of ``[global_index, sketch]`` pairs inherited
     through fork; ``factories`` maps each owned global index to the
-    factory that rebuilds it (heterogeneous under grouped copy sets —
-    a difference-ladder tier copy and a strong copy rebuild
-    differently); ``views`` maps region name -> (items, deltas) NumPy
-    views over the shared-memory buffers.  Commands arrive in order per
-    pipe, which is the only ordering the protocol relies on; probe/search
-    commands name the *probed* copies this worker owns (the active copy
-    under the active-copy discipline, this worker's slice of the probed
-    group under the aggregate disciplines' group fan-out) and replies
-    carry ``(index, estimate)`` pairs so the coordinator can reassemble
-    the probe set in discipline order.  Band policies arrive inside the
-    scan command (small frozen dataclasses), so the worker resolves a
-    per-item crossing with the coordinator's exact predicate.
+    factory that rebuilds it on a ring restart; ``views`` maps region
+    name -> (items, deltas) NumPy views over the shared-memory buffers.
+    Every ``feed`` reaches every owned copy (the ring has no probed
+    copy), commands arrive in order per pipe, and that order is the
+    only one the coordinator relies on.
 
     Telemetry: per-command wall seconds are always accumulated into a
     :class:`~repro.obs.WorkerTelemetry` buffer (feeding
@@ -132,12 +119,6 @@ def _switching_worker(conn, copies, factories, views, unique_hint: bool,
                 return slot
         raise RuntimeError(f"copy {idx} not owned by this worker")
 
-    def slice_of(region, lo, hi, unit):
-        items, deltas = views[region]
-        return items[lo:hi], (None if unit else deltas[lo:hi])
-
-    # Stack of probed-copy snapshot lists: [[(idx, snapshot), ...], ...]
-    snap_stack: list = []
     try:
         while True:
             msg = conn.recv()
@@ -151,76 +132,14 @@ def _switching_worker(conn, copies, factories, views, unique_hint: bool,
             timed = op in WorkerTelemetry.PHASE_OF
             tick = time.perf_counter() if timed else 0.0
             if op == "feed":
-                # Feed every owned copy except the probed `exclude` set
-                # (which took the same updates through probe/search ops;
-                # an empty exclude feeds all, the uniform-ring case).
-                _, region, lo, hi, unit, assume_unique, exclude = msg
-                its, dts = slice_of(region, lo, hi, unit)
-                excluded = set(exclude)
-                for i, s in copies:
-                    if i in excluded:
-                        continue
+                _, region, hi, unit, assume_unique = msg
+                items, deltas = views[region]
+                its, dts = items[:hi], (None if unit else deltas[:hi])
+                for _, s in copies:
                     if assume_unique and unique_hint:
                         s.update_batch(its, dts, assume_unique=True)
                     else:
                         s.update_batch(its, dts)
-            elif op == "probe":
-                _, region, lo, hi, unit, assume_unique, probed = msg
-                its, dts = slice_of(region, lo, hi, unit)
-                snaps, out = [], []
-                for idx in probed:
-                    slot = lookup(idx)
-                    snaps.append((idx, slot[1].snapshot()))
-                    if assume_unique and unique_hint:
-                        slot[1].update_batch(its, dts, assume_unique=True)
-                    else:
-                        slot[1].update_batch(its, dts)
-                    out.append((idx, slot[1].query()))
-                snap_stack.append(snaps)
-                conn.send(("ok", out))
-            elif op == "akeep":
-                snap_stack.pop()
-            elif op == "aroll":
-                for idx, snap in snap_stack.pop():
-                    lookup(idx)[1] = snap
-            elif op == "asnap":
-                _, probed = msg
-                snap_stack.append(
-                    [(idx, lookup(idx)[1].snapshot()) for idx in probed]
-                )
-            elif op == "afeed":
-                _, lo, hi, probed = msg
-                its, dts = slice_of("raw", lo, hi, False)
-                out = []
-                for idx in probed:
-                    slot = lookup(idx)
-                    slot[1].update_batch(its, dts)
-                    out.append((idx, slot[1].query()))
-                conn.send(("ok", out))
-            elif op == "astep":
-                _, pos, probed = msg
-                items, deltas = views["raw"]
-                item, delta = int(items[pos]), int(deltas[pos])
-                out = []
-                for idx in probed:
-                    sk = lookup(idx)[1]
-                    sk.update(item, delta)
-                    out.append((idx, sk.query()))
-                conn.send(("ok", out))
-            elif op == "ascan":
-                _, lo, hi, active, published, band = msg
-                sk = lookup(active)[1]
-                its, dts = slice_of("raw", lo, hi, False)
-                result = None
-                for off, (item, delta) in enumerate(
-                    zip(its.tolist(), dts.tolist())
-                ):
-                    sk.update(item, delta)
-                    y = sk.query()
-                    if band.crossed(published, y):
-                        result = (lo + off, y)
-                        break
-                conn.send(("ok", result))
             elif op == "replace":
                 _, idx, rng = msg
                 lookup(idx)[1] = factories[idx](rng)
@@ -321,13 +240,15 @@ class _SharedBuffers:
 
 
 class _ProcessCopyBackend:
-    """Copies of one :class:`CopyManager` sharded across forked workers.
+    """A uniform-feed ring's copies sharded across forked workers.
 
-    The process twin of :class:`~repro.core.copies.LocalCopyBackend`:
-    same interface, driven by the same
-    :class:`~repro.core.sketch_switching.SwitchingProtocol`, with the
-    copies living in worker address spaces and chunks travelling through
-    shared-memory buffers.
+    Backs the heavy-hitters epoch ring under :class:`ProcessEngine`: it
+    implements the part of the copy-backend interface that
+    :class:`_EpochSession` calls on a ring — stage a chunk, feed it to
+    every copy, replace a copy on a ring restart, fetch one copy for an
+    epoch snapshot, collect them all home — with the copies living in
+    worker address spaces and chunks travelling through shared-memory
+    buffers.  It has no probed copy, so it has no probe or search ops.
     """
 
     def __init__(
@@ -336,10 +257,8 @@ class _ProcessCopyBackend:
         shards: list[list[int]],
         unique_hint: bool,
         capacity: int,
-        telemetry=None,
     ):
-        self._copies = copies
-        self._tele = telemetry if telemetry is not None else copies.telemetry
+        self._tele = copies.telemetry
         #: Per-phase worker wall seconds, summed across workers at
         #: collect time (None until then).
         self.worker_phases: dict[str, float] | None = None
@@ -363,7 +282,7 @@ class _ProcessCopyBackend:
             owned = [[i, copies.sketches[i]] for i in indices]
             factories = {i: copies.factory_for(i) for i in indices}
             proc = ctx.Process(
-                target=_switching_worker,
+                target=_ring_worker,
                 args=(child, owned, factories, self._buffers.views,
                       unique_hint, w, self._tele.enabled),
                 daemon=True,
@@ -383,27 +302,20 @@ class _ProcessCopyBackend:
     def capacity(self) -> int:
         return self._buffers.capacity
 
-    def _recv(self, conn):
-        return _recv_checked(conn)
-
     def _barrier(self) -> None:
         if not self._dirty:
             return
         for conn in self._conns:
             _send(conn, ("sync",))
         for conn in self._conns:
-            self._recv(conn)
+            _recv_checked(conn)
         self._dirty = False
 
     def stage(self, items: np.ndarray, deltas: np.ndarray) -> None:
         # Workers may still be consuming the previous chunk's buffer via
         # fire-and-forget feeds; fence before overwriting it.
         self._barrier()
-        self._buffers.write("raw", items, deltas)
-        self._raw_len = len(items)
-        self._sub_len = 0
-        self._sub_unit = True
-        self._sub_unique = False
+        self._raw_len = self._buffers.write("raw", items, deltas)
         if self._tele.enabled:
             # Tag the workers' upcoming ops with the coordinator's
             # current (chunk) span so their buffered worker-chunk spans
@@ -415,112 +327,25 @@ class _ProcessCopyBackend:
                 _send(conn, ("span", span_id))
 
     def stage_sub(self, items, deltas, assume_unique: bool) -> None:
-        """Stage a pre-processed feed without probing (uniform fan-outs).
-
-        Safe to call right after :meth:`stage` (which fenced the previous
-        chunk); the subsequent ``feed_others_sub(())`` then fans the
-        staged arrays to every copy.
-        """
+        """Stage a pre-processed (aggregated) feed right after
+        :meth:`stage` (which fenced the previous chunk); the next
+        ``feed_others_sub(())`` fans it to every copy."""
         self._sub_len = self._buffers.write("sub", items, deltas)
         self._sub_unit = deltas is None
         self._sub_unique = assume_unique
 
-    def _owner_conn(self, idx: int):
-        return self._conns[self._owner[idx]]
-
-    def _group(self, probes: tuple[int, ...]) -> dict[int, list[int]]:
-        """Group probed copy indices by owning worker (insertion order)."""
-        groups: dict[int, list[int]] = {}
-        for idx in probes:
-            groups.setdefault(self._owner[idx], []).append(idx)
-        return groups
-
-    def _gather(self, groups: dict[int, list[int]], probes) -> np.ndarray:
-        """Collect (index, estimate) replies and order them like probes."""
-        by_index: dict[int, float] = {}
-        for worker in groups:
-            for idx, y in self._recv(self._conns[worker]):
-                by_index[idx] = y
-        return np.array([by_index[idx] for idx in probes], dtype=np.float64)
-
-    # -- probed-copy probe/search ops -----------------------------------
-
-    def probe_sub(
-        self, items, deltas, assume_unique: bool, probes: tuple[int, ...]
-    ) -> np.ndarray:
-        self._barrier()
-        self.stage_sub(items, deltas, assume_unique)
-        groups = self._group(probes)
-        for worker, owned in groups.items():
-            _send(self._conns[worker],
-                  ("probe", "sub", 0, self._sub_len, self._sub_unit,
-                   assume_unique, owned))
-        return self._gather(groups, probes)
-
-    def probe_raw(self, probes: tuple[int, ...]) -> np.ndarray:
-        self._sub_len = 0
-        groups = self._group(probes)
-        for worker, owned in groups.items():
-            _send(self._conns[worker],
-                  ("probe", "raw", 0, self._raw_len, False, False, owned))
-        return self._gather(groups, probes)
-
-    def keep_probed(self, probes: tuple[int, ...]) -> None:
-        for worker in self._group(probes):
-            _send(self._conns[worker], ("akeep",))
+    def _feed_all(self, exclude, msg) -> None:
+        assert not exclude, "a uniform ring feeds every copy"
+        for conn in self._conns:
+            _send(conn, msg)
         self._dirty = True
-
-    def roll_probed(self, probes: tuple[int, ...]) -> None:
-        for worker in self._group(probes):
-            _send(self._conns[worker], ("aroll",))
-        self._dirty = True
-
-    def snap_probed(self, probes: tuple[int, ...]) -> None:
-        for worker, owned in self._group(probes).items():
-            _send(self._conns[worker], ("asnap", owned))
-        self._dirty = True
-
-    def feed_probed(
-        self, lo: int, hi: int, probes: tuple[int, ...]
-    ) -> np.ndarray:
-        groups = self._group(probes)
-        for worker, owned in groups.items():
-            _send(self._conns[worker], ("afeed", lo, hi, owned))
-        return self._gather(groups, probes)
-
-    def step_probed(self, pos: int, probes: tuple[int, ...]) -> np.ndarray:
-        groups = self._group(probes)
-        for worker, owned in groups.items():
-            _send(self._conns[worker], ("astep", pos, owned))
-        return self._gather(groups, probes)
-
-    def prefix_probed(self, lo: int, hi: int, probes: tuple[int, ...]):
-        return None  # leaves are stepped or scanned in the workers
-
-    def scan_probed(
-        self, lo: int, hi: int, probe: int, published: float, band
-    ) -> tuple[int, float] | None:
-        conn = self._owner_conn(probe)
-        _send(conn, ("ascan", lo, hi, probe, published, band))
-        got = self._recv(conn)
-        return None if got is None else tuple(got)
-
-    # -- non-probed copies ----------------------------------------------
 
     def feed_others_sub(self, exclude: tuple[int, ...]) -> None:
-        for conn in self._conns:
-            _send(conn, ("feed", "sub", 0, self._sub_len, self._sub_unit,
-                       self._sub_unique, tuple(exclude)))
-        self._dirty = True
+        self._feed_all(exclude, ("feed", "sub", self._sub_len,
+                                 self._sub_unit, self._sub_unique))
 
     def feed_others_raw(self, exclude: tuple[int, ...]) -> None:
-        self.catch_up(0, self._raw_len, exclude)
-
-    def catch_up(self, lo: int, hi: int, exclude: tuple[int, ...]) -> None:
-        for conn in self._conns:
-            _send(conn, ("feed", "raw", lo, hi, False, False,
-                         tuple(exclude)))
-        self._dirty = True
+        self._feed_all(exclude, ("feed", "raw", self._raw_len, False, False))
 
     def replace(self, idx: int, rng: np.random.Generator) -> None:
         _send(self._conns[self._owner[idx]], ("replace", idx, rng))
@@ -531,14 +356,14 @@ class _ProcessCopyBackend:
         self._barrier()
         conn = self._conns[self._owner[idx]]
         _send(conn, ("get", idx))
-        return self._recv(conn)
+        return _recv_checked(conn)
 
     def collect_into(self, copies: CopyManager) -> None:
         self._barrier()
         for conn in self._conns:
             _send(conn, ("collect",))
         for conn in self._conns:
-            for idx, sketch in self._recv(conn):
+            for idx, sketch in _recv_checked(conn):
                 copies.sketches[idx] = sketch
         # Re-adopt the collected sketches into stacked groups (no-op when
         # stacking is disabled or nothing qualifies).
@@ -550,7 +375,7 @@ class _ProcessCopyBackend:
             _send(conn, ("obs",))
         phases: dict[str, float] = {}
         for worker, conn in enumerate(self._conns):
-            payload = self._recv(conn)
+            payload = _recv_checked(conn)
             for key, seconds in payload.get("phases", {}).items():
                 phases[key] = phases.get(key, 0.0) + seconds
             self._tele.absorb_worker(worker, payload)
@@ -613,26 +438,18 @@ def _merge_worker(conn, partial: Sketch, views) -> None:
 # ----------------------------------------------------------------------
 
 
-def _merge_phases(timings: dict, *backends) -> dict[str, float]:
-    """Coordinator protocol timings + collected worker timings.
+def _merge_phases(timings: dict, backend) -> dict[str, float]:
+    """Coordinator protocol timings + a ring backend's worker timings.
 
     Worker seconds land under separate ``worker_*`` keys rather than
-    being summed into the coordinator phases: the coordinator's
-    ``probe`` already *includes* the wall time spent blocked on worker
-    probe replies (adding would double-count), while fire-and-forget
-    feeds overlap the coordinator entirely (their cost only shows up
-    worker-side).  Worker phases appear once the backend has collected
-    (session finalize); multiple backends (the epoch session's ring +
-    L2) sum per key.
+    being summed into the coordinator phases: the ring's feeds are
+    fire-and-forget, so they overlap the coordinator entirely and their
+    cost only shows up worker-side.  Worker phases appear once the
+    backend has collected (session finalize); a local backend has none.
     """
     phases = dict(timings)
-    for backend in backends:
-        worker_phases = getattr(backend, "worker_phases", None)
-        if not worker_phases:
-            continue
-        for key, seconds in worker_phases.items():
-            key = f"worker_{key}"
-            phases[key] = phases.get(key, 0.0) + seconds
+    for key, seconds in (getattr(backend, "worker_phases", None) or {}).items():
+        phases[f"worker_{key}"] = seconds
     return phases
 
 
@@ -691,12 +508,8 @@ class IngestSession(abc.ABC):
 class _PlainSession(IngestSession):
     """Deterministic fallback: plain ``update_batch`` on this process."""
 
-    def __init__(
-        self, estimator: Sketch, mode: str = "serial",
-        fallback_reason: str | None = None,
-    ):
+    def __init__(self, estimator: Sketch, fallback_reason: str | None = None):
         self._est = estimator
-        self.mode = mode
         self.fallback_reason = fallback_reason
 
     def feed(self, items, deltas=None) -> None:
@@ -710,9 +523,8 @@ class _SwitchingSession(IngestSession):
     """Per-copy fan-out session for switching estimators (any band)."""
 
     def __init__(self, estimator, plan: SwitchingShardPlan, backend,
-                 mode: str, raw_hoists: bool = False):
+                 raw_hoists: bool = False):
         self._est = estimator
-        self._plan = plan
         self._backend = backend
         # The universe fast path's backend consumes the unaggregated
         # stream positionally: the coordinator never materializes a
@@ -725,13 +537,12 @@ class _SwitchingSession(IngestSession):
             aggregate_once=False if raw_hoists else plan.aggregate_once,
             unique_hint=False if raw_hoists else plan.unique_hint,
         )
-        self.mode = mode
         self.policy = plan.band.name
         self._tele = plan.switcher._copies.telemetry
 
     @property
     def phase_seconds(self) -> dict[str, float]:
-        return _merge_phases(self._protocol.timings, self._backend)
+        return dict(self._protocol.timings)
 
     def feed(self, items, deltas=None) -> None:
         if self._tele.enabled:
@@ -741,11 +552,9 @@ class _SwitchingSession(IngestSession):
             self._protocol.feed(items, deltas)
 
     def query(self) -> float:
-        # The published value is coordinator state; no worker round trip.
         return self._est.query()
 
     def finalize(self) -> None:
-        self._backend.collect_into(self._plan.switcher._copies)
         self._backend.close()
         if self._tele.enabled:
             self._tele.emit(PhasesEvent(phases=self.phase_seconds))
@@ -758,8 +567,9 @@ class _EpochSession(IngestSession):
     """Theorem 6.5 fan-out: L2 switching protocol + uniform ring feeds.
 
     The inner robust L2 tracker runs through the same switching protocol
-    as any other switching estimator (its own backend); the point-query
-    ring is fed every chunk uniformly through a copy backend of its own
+    as any other switching estimator, on this process; the point-query
+    ring is fed every chunk uniformly through ``ring_backend`` — local,
+    or sharded across workers under :class:`ProcessEngine` —
     (aggregated once when the ring licenses it).  The epoch clock — the
     wrapper's :class:`~repro.core.bands.EpochBand` over the published L2
     estimate — ticks on the coordinator at chunk boundaries, exactly as
@@ -767,28 +577,31 @@ class _EpochSession(IngestSession):
     epoch counts, and ring restarts agree with the direct chunked path.
     """
 
-    def __init__(self, plan: EpochShardPlan, l2_backend, ring_backend, mode):
+    def __init__(self, plan: EpochShardPlan, ring_backend,
+                 mode: str = "serial"):
         self._wrapper = plan.wrapper
         self._plan = plan
-        self._l2_backend = l2_backend
+        l2_plan = plan.l2_plan
+        self._l2_backend = LocalCopyBackend(
+            l2_plan.switcher._copies, l2_plan.unique_hint
+        )
         self._ring_backend = ring_backend
         self._l2_protocol = SwitchingProtocol(
-            plan.l2_plan.switcher, l2_backend,
-            seen_filter=plan.l2_plan.hoists.make_seen_filter(),
-            aggregate_once=plan.l2_plan.aggregate_once,
-            unique_hint=plan.l2_plan.unique_hint,
+            l2_plan.switcher, self._l2_backend,
+            seen_filter=l2_plan.hoists.make_seen_filter(),
+            aggregate_once=l2_plan.aggregate_once,
+            unique_hint=l2_plan.unique_hint,
         )
         self.mode = mode
         self.policy = "epoch"
-        self._tele = plan.l2_plan.switcher._copies.telemetry
+        self._tele = l2_plan.switcher._copies.telemetry
 
     @property
     def phase_seconds(self) -> dict[str, float]:
         # The inner L2 switcher is the protocol-driven half; ring feeds
         # are uniform fan-outs with no probe/band phases to attribute
         # coordinator-side (their worker seconds do show up).
-        return _merge_phases(self._l2_protocol.timings,
-                             self._ring_backend, self._l2_backend)
+        return _merge_phases(self._l2_protocol.timings, self._ring_backend)
 
     def feed(self, items, deltas=None) -> None:
         if self._tele.enabled:
@@ -801,7 +614,7 @@ class _EpochSession(IngestSession):
         items, deltas = as_batch_arrays(items, deltas)
         if len(items) == 0:
             return
-        cap = min(self._l2_backend.capacity, self._ring_backend.capacity)
+        cap = self._ring_backend.capacity
         for lo in range(0, len(items), cap):
             self._feed_one(items[lo:lo + cap], deltas[lo:lo + cap])
         # The epoch clock ticks once per *caller* chunk, after any
@@ -833,7 +646,6 @@ class _EpochSession(IngestSession):
 
     def finalize(self) -> None:
         self._ring_backend.collect_into(self._plan.ring)
-        self._l2_backend.collect_into(self._plan.l2_plan.switcher._copies)
         self.close()
         if self._tele.enabled:
             self._tele.emit(PhasesEvent(phases=self.phase_seconds))
@@ -874,9 +686,6 @@ class _ProcessMergeSession(IngestSession):
         self._finalized = False
         self._merged_view: Sketch | None = None
 
-    def _recv(self, conn):
-        return _recv_checked(conn)
-
     def feed(self, items, deltas=None) -> None:
         items, deltas = as_batch_arrays(items, deltas)
         self._merged_view = None
@@ -890,12 +699,12 @@ class _ProcessMergeSession(IngestSession):
             for conn, lo, hi in zip(self._conns, bounds[:-1], bounds[1:]):
                 _send(conn, ("feed", int(lo), int(hi)))
             for conn in self._conns:
-                self._recv(conn)
+                _recv_checked(conn)
 
     def _collect(self) -> list[Sketch]:
         for conn in self._conns:
             _send(conn, ("collect",))
-        return [self._recv(conn) for conn in self._conns]
+        return [_recv_checked(conn) for conn in self._conns]
 
     def query(self) -> float:
         if self._finalized:
@@ -974,7 +783,7 @@ class SerialEngine(ExecutionEngine):
 
     def session(self, estimator: Sketch, source=None) -> IngestSession:
         plan = plan_shards(estimator)
-        source_mode = source_mode_for(plan, source, parallel=False)
+        source_mode = source_mode_for(plan, source)
         if isinstance(plan, SwitchingShardPlan):
             universe = source_mode == "universe"
             backend = (
@@ -983,16 +792,11 @@ class SerialEngine(ExecutionEngine):
                 else LocalCopyBackend(plan.switcher._copies, plan.unique_hint)
             )
             session = _SwitchingSession(
-                estimator, plan, backend, mode="serial", raw_hoists=universe
+                estimator, plan, backend, raw_hoists=universe
             )
         elif isinstance(plan, EpochShardPlan):
             session = _EpochSession(
-                plan,
-                LocalCopyBackend(
-                    plan.l2_plan.switcher._copies, plan.l2_plan.unique_hint
-                ),
-                LocalCopyBackend(plan.ring, plan.ring_hoists.unique_hint),
-                mode="serial",
+                plan, LocalCopyBackend(plan.ring, plan.ring_hoists.unique_hint)
             )
         else:
             session = _PlainSession(
@@ -1003,7 +807,8 @@ class SerialEngine(ExecutionEngine):
 
 
 class ProcessEngine(ExecutionEngine):
-    """Shard copies/partials across forked worker processes.
+    """Shard a ring's copies or a sketch's merge partials across forked
+    worker processes.
 
     Parameters
     ----------
@@ -1012,11 +817,16 @@ class ProcessEngine(ExecutionEngine):
     chunk_capacity:
         Shared-buffer size in updates; feeds larger than this are split.
 
-    Every chunk reaches the workers as bytes through the shared buffers.
-    Opens exactly :class:`SerialEngine`'s session — same outputs, same
-    ``mode`` and ``source_mode`` — when ``fork`` is unavailable, when a
-    plan has no parallel decomposition, or when one worker would own
-    everything anyway.
+    Two plan kinds fork: the heavy-hitters epoch ring
+    (:class:`EpochShardPlan`, ring copies sharded, the L2 tracker on the
+    coordinator) and merge plans (:class:`MergeShardPlan`, one partial
+    per worker).  Every chunk reaches the workers as bytes through the
+    shared buffers.  Everything else — switching plans (all their copies
+    read the same chunk, and sharding them lost to the serial session on
+    every workload measured), ``fork`` unavailable, one worker, a
+    one-copy ring, no parallel plan — opens exactly
+    :class:`SerialEngine`'s session: same outputs, same ``mode`` and
+    ``source_mode``, universe fast path included.
     """
 
     name = "process"
@@ -1035,40 +845,19 @@ class ProcessEngine(ExecutionEngine):
             )
         self.chunk_capacity = chunk_capacity
 
-    def _process_backend(
-        self, copies: CopyManager, unique_hint: bool
-    ) -> _ProcessCopyBackend:
-        return _ProcessCopyBackend(
-            copies,
-            partition_copies(copies.count, self.workers),
-            unique_hint,
-            self.chunk_capacity,
-        )
-
     def session(self, estimator: Sketch, source=None) -> IngestSession:
         if self.workers < 2 or not fork_available():
             return SerialEngine().session(estimator, source)
         plan = plan_shards(estimator)
-        if isinstance(plan, SwitchingShardPlan) and plan.switcher.copies > 1:
-            backend = self._process_backend(
-                plan.switcher._copies, plan.unique_hint
-            )
-            session = _SwitchingSession(
-                estimator, plan, backend, f"process[{backend.workers}]"
-            )
-        elif isinstance(plan, EpochShardPlan) and plan.ring.count > 1:
-            # The ring carries the bulk of the copies; the (smaller) L2
-            # tracker stays on the coordinator.
-            ring_backend = self._process_backend(
-                plan.ring, plan.ring_hoists.unique_hint
+        if isinstance(plan, EpochShardPlan) and plan.ring.count > 1:
+            ring_backend = _ProcessCopyBackend(
+                plan.ring,
+                plan.ring_shards(self.workers),
+                plan.ring_hoists.unique_hint,
+                self.chunk_capacity,
             )
             session = _EpochSession(
-                plan,
-                LocalCopyBackend(
-                    plan.l2_plan.switcher._copies, plan.l2_plan.unique_hint
-                ),
-                ring_backend,
-                f"process[{ring_backend.workers}]",
+                plan, ring_backend, f"process[{ring_backend.workers}]"
             )
         elif isinstance(plan, MergeShardPlan):
             session = _ProcessMergeSession(
@@ -1076,7 +865,7 @@ class ProcessEngine(ExecutionEngine):
             )
         else:
             return SerialEngine().session(estimator, source)
-        session.source_mode = source_mode_for(plan, source, parallel=True)
+        session.source_mode = source_mode_for(plan, source)
         return session
 
 

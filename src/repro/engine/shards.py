@@ -1,29 +1,28 @@
-"""Shard planning: how an estimator's work splits across engine workers.
+"""Shard planning: how an estimator's work splits across copies and workers.
 
 Sketch switching derives robustness from many independent copies of a
-static sketch — a workload that is embarrassingly parallel *per copy*:
-every copy must see every update, but no copy's state depends on any
-other's, and the publish-band decision reads only the estimator's
-*probe set* — the active copy under
+static sketch: every copy must see every update, but no copy's state
+depends on any other's, and the publish-band decision reads only the
+estimator's *probe set* — the active copy under
 :class:`~repro.core.disciplines.ActiveCopyDiscipline`, every copy under
-the DP :class:`~repro.core.disciplines.PrivateAggregateDiscipline`
-(whose all-copy probe step the executors fan out across whichever
-workers own the probed copies).  That holds for **every** band policy
-(multiplicative, additive, epoch) and both disciplines; they only
-change how the coordinator resolves a boundary check, so the planner is
-band- and discipline-agnostic and simply carries the estimator's
-:class:`~repro.core.bands.BandPolicy` and
-:class:`~repro.core.disciplines.ProbeDiscipline` into the plan.  A single mergeable
-sketch parallelises differently — *per partial*: the stream is sliced,
-each worker folds its slice into a private partial, and partials combine
-through :meth:`repro.sketches.base.Sketch.merge`.
+the DP :class:`~repro.core.disciplines.PrivateAggregateDiscipline`.
+That holds for **every** band policy (multiplicative, additive, epoch)
+and every discipline; they only change how the coordinator resolves a
+boundary check, so the planner is band- and discipline-agnostic and
+simply carries the estimator's :class:`~repro.core.bands.BandPolicy`
+and :class:`~repro.core.disciplines.ProbeDiscipline` into the plan.  A
+single mergeable sketch parallelises differently — *per partial*: the
+stream is sliced, each worker folds its slice into a private partial,
+and partials combine through :meth:`repro.sketches.base.Sketch.merge`.
 
 :func:`plan_shards` inspects an estimator and picks the plan:
 
 * :class:`SwitchingShardPlan` — a
   :class:`~repro.core.sketch_switching.SwitchingEstimator` (possibly
-  wrapped by a robust wrapper exposing ``_switcher``): copies fan out
-  across workers, the coordinator keeps the protocol state.  This now
+  wrapped by a robust wrapper exposing ``_switcher``): the coordinator
+  keeps the protocol state and fans each chunk out to the copies on
+  its own process (the engines never fork for it: all copies read the
+  same chunk, and sharding them lost to the serial session).  This
   includes the additive/entropy band — its crossing-chunk bisection
   coalesces transient excursions at cell granularity rather than being
   per-item exact (see :mod:`repro.core.bands`), a coordinator concern
@@ -31,7 +30,8 @@ through :meth:`repro.sketches.base.Sketch.merge`.
 * :class:`EpochShardPlan` — the heavy-hitters construction (Theorem
   6.5): a switching plan for the inner robust L2 tracker plus a ring of
   point-query copies fed uniformly, with the epoch clock on the
-  coordinator.
+  coordinator; the ring is what :class:`~repro.engine.ProcessEngine`
+  shards across workers.
 * :class:`MergeShardPlan` — a mergeable sketch: per-partial sharding.
 * :class:`SerialPlan` — everything else: the deterministic fallback
   (plain ``update_batch`` on the calling process).  Wrapped estimators
@@ -40,8 +40,7 @@ through :meth:`repro.sketches.base.Sketch.merge`.
   assumptions that don't hold for them.
 
 The switching plan also carries the *shared-work hoists* that make the
-sharded path cheaper than feeding each copy independently, even before
-any process parallelism:
+engine path cheaper than feeding each copy independently:
 
 * chunk aggregation — dedupe/aggregate the chunk once instead of once
   per copy (valid when every inner sketch is ``aggregation_invariant``);
@@ -220,9 +219,6 @@ class SwitchingShardPlan:
     def universe(self) -> int | None:
         return self.hoists.universe
 
-    def shards(self, workers: int) -> list[list[int]]:
-        return partition_copies(self.switcher.copies, workers)
-
 
 @dataclass
 class EpochShardPlan:
@@ -331,22 +327,21 @@ def plan_shards(estimator: Sketch) -> ShardPlan:
     return SerialPlan(estimator=estimator)
 
 
-def source_mode_for(plan: ShardPlan, source, parallel: bool) -> str | None:
+def source_mode_for(plan: ShardPlan, source) -> str | None:
     """How a session consumes a chunk source (``IngestReport.source_mode``).
 
-    * ``"universe"`` — a serial switching session whose copy set
-      licenses the counts-based fast path prepares chunks from
-      ``bincount`` over the source's promised universe;
+    * ``"universe"`` — a switching session whose copy set licenses the
+      counts-based fast path prepares chunks from ``bincount`` over the
+      source's promised universe;
     * ``"bytes: <reason>"`` — the ordinary staged-bytes path, with the
       reason the fast path did not apply (so the fallback is observable,
-      not silent).  Process sessions always take this path.
+      not silent).  Every non-switching plan (epoch, merge, serial)
+      takes this path.
 
     ``None`` when no source is involved.
     """
     if source is None:
         return None
-    if parallel:
-        return "bytes: process workers are fed chunk bytes"
     if not isinstance(plan, SwitchingShardPlan):
         return (
             f"bytes: {type(plan).__name__} sessions have no universe fast "

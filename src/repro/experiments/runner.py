@@ -20,8 +20,10 @@ Two ingestion modes:
 
 Batched runs additionally accept an execution engine (``engine=`` — a
 name like ``"process:4"`` or an :class:`repro.engine.ExecutionEngine`):
-the estimator is driven through an engine session, fanning switching
-copies across worker processes, with the same boundary judging.
+the estimator is driven through an engine session with the same
+boundary judging.  Switching estimators run the serial session's
+shared-work hoists under every engine; only the heavy-hitters ring and
+mergeable sketches fork worker processes.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ reach) and collects three things:
 * **events** — typed records fanned out to the configured sinks;
 * **spans** — nested timing scopes (``ingest`` → ``chunk`` →
   ``worker-chunk``) with parent/child linkage that survives the
-  ProcessEngine fork boundary: workers buffer span/event records
+  ProcessEngine fork boundary: ring workers buffer span/event records
   locally (:class:`WorkerTelemetry`) and the coordinator folds them in
   with :meth:`Telemetry.absorb_worker` at collect time.
 
@@ -225,7 +225,7 @@ NULL_TELEMETRY = NullTelemetry()
 class WorkerTelemetry:
     """Worker-side buffer: phase timings + event records, shipped on drain.
 
-    Lives inside a forked ProcessEngine worker.  Phase timings are
+    Lives inside a forked ProcessEngine ring worker.  Phase timings are
     *always* accumulated (two ``perf_counter`` calls per backend
     command — noise next to the sketch work) because
     ``IngestReport.phase_seconds`` wants them even with tracing off;
@@ -235,22 +235,13 @@ class WorkerTelemetry:
     become one ``worker-chunk`` span parented under that chunk.
     """
 
-    #: Map backend command -> phase bucket.  Probe-shaped commands
-    #: (aggregate probes, snapshot scans) all count as "probe".
-    PHASE_OF = {
-        "probe": "probe", "akeep": "probe", "aroll": "probe",
-        "asnap": "probe", "afeed": "probe", "astep": "probe",
-        "ascan": "probe",
-        "feed": "feed",
-        "replace": "replace",
-    }
+    #: Map timed backend command -> phase bucket.
+    PHASE_OF = {"feed": "feed", "replace": "replace"}
 
     def __init__(self, worker: int, trace: bool) -> None:
         self.worker = worker
         self.trace = trace
-        self.phases: Dict[str, float] = {
-            "probe": 0.0, "feed": 0.0, "replace": 0.0,
-        }
+        self.phases: Dict[str, float] = {"feed": 0.0, "replace": 0.0}
         self.events: List[Dict[str, Any]] = []
         self._span: Optional[Union[int, str]] = None
         self._span_start: Optional[float] = None

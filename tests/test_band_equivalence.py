@@ -7,7 +7,9 @@ ISSUE 4 discipline axis): for every
 :class:`~repro.core.disciplines.ProbeDiscipline` implementations, the
 per-item protocol, the serial chunked path (``update_chunk``), and the
 engine sessions publish identical outputs and switch counts on
-exact-state sketches — with the one *documented* exception that
+exact-state sketches (a :class:`ProcessEngine` opens the serial session
+for every switching estimator and forks only the heavy-hitters ring) —
+with the one *documented* exception that
 non-monotone trackers under the additive band coalesce a transient band
 exit that fully reverts between two boundary checks.  Hypothesis drives
 the stream shapes and chunk sizes; the forced mid-chunk revert case pins
@@ -15,6 +17,7 @@ the coalescing behaviour explicitly.
 """
 
 import math
+import multiprocessing as mp
 
 import numpy as np
 import pytest
@@ -84,6 +87,10 @@ def _chunked_trace(est, items, chunk, engine=None):
             trace.append((est.query(), est.switches))
         return trace
     with engine.session(est) as session:
+        if isinstance(engine, ProcessEngine):
+            # Switching plans never fork: the serial session opens.
+            assert session.mode == "serial"
+            assert mp.active_children() == []
         for lo in range(0, len(items), chunk):
             session.feed(np.asarray(items[lo:lo + chunk], dtype=np.int64))
             trace.append((session.query(), est.switches))
@@ -175,8 +182,7 @@ class TestPrivateAggregateEquivalence:
 
     @needs_fork
     def test_process_engine_matches(self):
-        # The all-copy probe step spans both workers; the coordinator
-        # reassembles the probe set in discipline order.
+        # The all-copy probe runs in the serial session, no worker forked.
         items = [i % 100 for i in range(700)] + list(range(100, 400))
         t1 = _chunked_trace(_dp_estimator(), items, 128)
         t2 = _chunked_trace(_dp_estimator(), items, 128,
@@ -235,7 +241,7 @@ class TestDifferenceLadderEquivalence:
     """The ladder discipline through the same protocol: group probe sets
     (the current tier's copies between checkpoints, every group at a
     checkpoint), coordinator-side anchoring and noise keyed to the
-    publication count — per-item, chunked, and both engines bit for bit,
+    publication count — per-item, chunked, and the engines bit for bit,
     including windows where a promotion lands mid-chunk."""
 
     @settings(max_examples=25, deadline=None)
@@ -287,8 +293,7 @@ class TestDifferenceLadderEquivalence:
 
     @needs_fork
     def test_process_engine_matches(self):
-        # Group probe sets span workers; the coordinator reassembles
-        # them in discipline order.
+        # Group probe sets run in the serial session, no worker forked.
         items = [i % 100 for i in range(700)] + list(range(100, 400))
         t1 = _chunked_trace(_ladder_estimator(), items, 128)
         t2 = _chunked_trace(_ladder_estimator(), items, 128,
@@ -298,7 +303,7 @@ class TestDifferenceLadderEquivalence:
     @needs_fork
     def test_process_engine_heterogeneous_tier_refresh_matches(self):
         # Tier budget exhaustion rebuilds the *tier* group in-place with
-        # its own (cheaper) factory — inside worker processes.
+        # its own (cheaper) factory, in the serial session.
         items = list(range(800))
         a = _grouped_ladder_estimator(tier_budget=2)
         b = _grouped_ladder_estimator(tier_budget=2)
@@ -468,9 +473,26 @@ class TestTelemetryEquivalence:
 
     @needs_fork
     def test_tracing_is_invisible_process_engine(self):
-        items = [i % 200 for i in range(600)] + list(range(200, 450))
-        t1 = _chunked_trace(_dp_estimator(), items, 128,
-                            ProcessEngine(workers=2))
-        t1t = _chunked_trace(self._traced(_dp_estimator()), items, 128,
-                             ProcessEngine(workers=2))
-        assert t1 == t1t
+        # The heavy-hitters ring is sharded across forked workers; its
+        # worker spans merge back without moving a published value.
+        from repro.api import install_telemetry
+        from repro.obs import RingSink, Telemetry
+
+        items = np.random.default_rng(7).zipf(1.4, size=6000) % 512
+        ring = RingSink(capacity=1 << 16)
+        runs = []
+        for traced in (False, True):
+            est = RobustHeavyHitters(
+                n=512, m=len(items), eps=0.3, rng=np.random.default_rng(11)
+            )
+            if traced:
+                install_telemetry(est, Telemetry(sinks=[ring]))
+            trace = []
+            with ProcessEngine(workers=2).session(est) as session:
+                assert session.mode == "process[2]"
+                for lo in range(0, len(items), 512):
+                    session.feed(items[lo:lo + 512])
+                    trace.append((est.query(), est.epochs))
+            runs.append((trace, est.heavy_hitters()))
+        assert runs[0] == runs[1]
+        assert any(e.worker is not None for e in ring.by_kind("span"))

@@ -3,8 +3,8 @@
 A chunk source must materialize bit-for-bit identically every time and
 in any process — coordinator, serial fast path, or a forked child — so
 published outputs, switch counts, and DP budget state agree across the
-per-item path, the serial engines (bytes and universe fast path), and
-the process engine fed source chunks as bytes.
+per-item path and the serial session (bytes and universe fast path),
+which the process engine also opens for switching estimators.
 """
 
 import multiprocessing as mp
@@ -201,7 +201,7 @@ class TestForkSafety:
 
 
 # ----------------------------------------------------------------------
-# Equivalence: per-item vs serial engines vs process engine, bit for bit
+# Equivalence: per-item vs serial sessions, bit for bit
 # ----------------------------------------------------------------------
 
 
@@ -281,7 +281,8 @@ class TestSerialEquivalence:
 
 @needs_fork
 class TestProcessSourceEquivalence:
-    """Chunk sources on the process engine take the bytes transport."""
+    """Chunk sources on the process engine: a switching estimator opens
+    the serial session, universe fast path included, and forks nothing."""
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_generator_source_matches_per_item(self, workers):
@@ -289,8 +290,8 @@ class TestProcessSourceEquivalence:
                                    chunk_size=777)
         est = _stacked_dp()
         report = ingest(est, source=src, engine=f"process:{workers}")
-        assert report.mode == f"process[{workers}]"
-        assert report.source_mode.startswith("bytes:")
+        assert report.mode == "serial"
+        assert report.source_mode == "universe"
         assert _state(est) == _state(_per_item(src))
 
     def test_store_source_matches_per_item(self, tmp_path):
@@ -302,7 +303,7 @@ class TestProcessSourceEquivalence:
 
         est = _stacked_dp(seed=2)
         report = ingest(est, source=src, engine="process:2")
-        assert report.mode == "process[2]"
+        assert report.mode == "serial"
         assert report.source_mode.startswith("bytes:")
         assert _state(est) == _state(_per_item(src, seed=2))
 
@@ -311,19 +312,21 @@ class TestProcessSourceEquivalence:
                                    chunk_size=512)
         report = ingest(_stacked_dp(), source=src, engine="process:2",
                         telemetry=True)
-        assert report.source_mode.startswith("bytes:")
-        phases = report.phase_seconds
-        assert "worker_probe" in phases and "worker_feed" in phases
-        assert not any("generate" in key for key in phases)
+        assert report.source_mode == "universe"
+        # Coordinator phases only: no worker ran, nothing was generated
+        # off this process.
+        assert set(report.phase_seconds) == {
+            "probe", "band_test", "feed", "replace",
+        }
 
     @pytest.mark.parametrize("licensed", [True, False])
-    @pytest.mark.parametrize("workers,copies", [(1, 8), (2, 1)])
+    @pytest.mark.parametrize("workers,copies", [(1, 8), (2, 1), (2, 8)])
     def test_serial_fallbacks_open_the_serial_session(
         self, tmp_path, licensed, workers, copies
     ):
-        # One worker, or one copy, leaves nothing to shard: the process
-        # engine must open exactly the serial engine's session, universe
-        # fast path included.
+        # One worker, one copy, or any switching estimator at all: the
+        # process engine must open exactly the serial engine's session,
+        # universe fast path included, and fork no worker.
         if licensed:
             src = GeneratorChunkSource("uniform", n=32, m=2_000, seed=3,
                                        chunk_size=500)
@@ -337,6 +340,7 @@ class TestProcessSourceEquivalence:
                 SerialEngine().session(serial_est, source=src) as want:
             assert type(got) is type(want)
             assert got.mode == want.mode == "serial"
+            assert mp.active_children() == []
             assert got.source_mode == want.source_mode
             # The universe license needs a stacked group (two or more
             # copies) and a known universe (the store has none).

@@ -2,11 +2,14 @@
 
 The load-bearing suite: serial direct path, :class:`SerialEngine`, and
 :class:`ProcessEngine` must produce identical published outputs and
-switch counts for switching estimators, and identical merged state for
-mergeable sketches.  Also covers the shard planner, the seen-filter, the
-prefetcher, and the engine plumbing through ``api.ingest`` and the
-experiment runner.
+switch counts for switching estimators (which :class:`ProcessEngine`
+runs in its serial session, forking nothing), and identical merged
+state for mergeable sketches.  Also covers the shard planner, the
+seen-filter, the prefetcher, and the engine plumbing through
+``api.ingest`` and the experiment runner.
 """
+
+import multiprocessing as mp
 
 import numpy as np
 import pytest
@@ -73,6 +76,10 @@ def _boundary_trace(est, items, chunk, engine):
             trace.append(est.query())
         return trace
     with engine.session(est) as session:
+        if isinstance(engine, ProcessEngine):
+            # Switching plans never fork: the serial session opens.
+            assert session.mode == "serial"
+            assert mp.active_children() == []
         for lo in range(0, len(items), chunk):
             session.feed(items[lo:lo + chunk])
             trace.append(session.query())
@@ -111,8 +118,8 @@ class TestSwitchingEquivalence:
         )
         assert t0 == t1
         assert direct.switches == engined.switches
-        # finalize() pulled every copy home: full state equality, so the
-        # estimator keeps working serially after the session.
+        # Full state equality, so the estimator keeps working per item
+        # after the session.
         for a, b in zip(
             direct._switcher._sketches, engined._switcher._sketches
         ):
@@ -701,13 +708,14 @@ class TestPlumbing:
 
     @needs_fork
     def test_worker_error_surfaces(self):
-        est = _fresh_robust(256, 4_000)
+        # A merge session forks one KMV partial per worker; negative
+        # deltas are invalid for KMV, so each worker dies mid-feed and
+        # the failure must come back as an EngineError, not a hang.
         engine = ProcessEngine(workers=2)
-        session = engine.session(est)
+        session = engine.session(KMVSketch(64, np.random.default_rng(0)))
+        assert session.mode == "process[2]"
         try:
-            with pytest.raises((EngineError, ValueError)):
-                # Negative deltas are invalid for KMV: the failure must
-                # come back as an exception, not a hang.
+            with pytest.raises(EngineError, match="ValueError"):
                 session.feed(
                     np.arange(200, dtype=np.int64),
                     -np.ones(200, dtype=np.int64),

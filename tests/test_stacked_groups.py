@@ -18,12 +18,17 @@ Layers under test:
 * manager level — stacking eligibility rules and the ndarray
   ``estimate_all`` contract;
 * protocol level (Hypothesis) — whole switching estimators, stacked vs
-  twin, across per-item / chunked / SerialEngine / ProcessEngine, with
+  twin, across per-item / chunked / engine sessions, with
   restart rings, DP budget-exhaustion refreshes, and difference-ladder
   tier refreshes forcing mid-stream retirement through the stacks —
   including the Theorem 5.1 KMV ring and regression cases for prepared
-  hash columns that must be refreshed when a copy is replaced mid-chunk.
+  hash columns that must be refreshed when a copy is replaced mid-chunk;
+* fork level — the heavy-hitters ring, the one copy set ProcessEngine
+  shards, detaches its stacks before the fork and rebuilds them after
+  collect.
 """
+
+import multiprocessing as mp
 
 import numpy as np
 import pytest
@@ -372,6 +377,10 @@ def _trace_chunked(est, items, chunk):
 def _trace_engine(est, items, chunk, engine):
     trace = []
     with engine.session(est) as session:
+        if isinstance(engine, ProcessEngine):
+            # Switching plans never fork: the serial session opens.
+            assert session.mode == "serial"
+            assert mp.active_children() == []
         for lo in range(0, len(items), chunk):
             session.feed(np.asarray(items[lo:lo + chunk], dtype=np.int64))
             trace.append((session.query(), est.switches))
@@ -432,9 +441,6 @@ class TestStackedTwinEquivalence:
         t1 = _trace_engine(_cs_estimator(True), items, chunk, engine)
         t0 = _trace_engine(_cs_estimator(False), items, chunk, engine)
         assert t1 == t0
-        # Serial-engine agreement too: the workers ran the object path,
-        # so this pins the unstack-before-fork / restack-after-collect
-        # lifecycle.
         t2 = _trace_engine(_cs_estimator(True), items, chunk, SerialEngine())
         assert t1 == t2
 
@@ -629,16 +635,32 @@ class TestStackedKMVEquivalence:
         assert a.discipline.strong_charges == b.discipline.strong_charges
 
     @needs_fork
-    @settings(max_examples=4, deadline=None)
-    @given(items=growing, chunk=st.sampled_from([64, 200]))
-    def test_process_engine_unstack_restack(self, items, chunk):
-        engine = ProcessEngine(workers=2)
-        est = _kmv_ring(True)
-        t1 = _trace_engine(est, items, chunk, engine)
-        assert est._copies.stacks  # restacked after the workers' collect
-        t0 = _trace_engine(_kmv_ring(False), items, chunk, engine)
-        t2 = _trace_engine(_kmv_ring(True), items, chunk, SerialEngine())
-        assert t1 == t0 == t2
+    def test_process_engine_unstack_restack(self):
+        # The heavy-hitters ring is the copy set ProcessEngine forks: its
+        # stacks are detached before the fork (workers run the object
+        # path) and rebuilt after the workers' collect.
+        from repro.robust.heavy_hitters import RobustHeavyHitters
+
+        items = np.random.default_rng(6).zipf(1.4, size=6000) % 512
+
+        def run(engine):
+            est = RobustHeavyHitters(n=512, m=len(items), eps=0.3,
+                                     rng=np.random.default_rng(11))
+            assert est._ring.stacks
+            with engine.session(est) as session:
+                for lo in range(0, len(items), 512):
+                    session.feed(items[lo:lo + 512])
+            return est, session.mode
+
+        forked, mode = run(ProcessEngine(workers=2))
+        assert mode == "process[2]"
+        assert forked._ring.stacks  # restacked after the workers' collect
+        serial, _ = run(SerialEngine())
+        assert (forked.query(), forked.epochs) == (serial.query(),
+                                                   serial.epochs)
+        assert forked.heavy_hitters() == serial.heavy_hitters()
+        for a, b in zip(forked._ring.sketches, serial._ring.sketches):
+            assert np.array_equal(a._table, b._table)
 
 
 class TestReplacedCopyColumns:
