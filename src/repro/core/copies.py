@@ -440,26 +440,31 @@ class LocalCopyBackend:
 
     The copy-backend interface the switching protocol drives (the
     process engine's ring backend in :mod:`repro.engine.executor`
-    implements its uniform-feed part across forked workers).  Methods
-    come in two groups: *probed-copy probe/search*
-    ops, which snapshot/feed/step the copies the estimator's probe
-    discipline reads (the active copy alone under
+    implements its uniform-feed ops, ``feed_all_raw``/``feed_all_sub``,
+    across forked workers).  Methods come in two groups: *probed-copy
+    probe/search* ops, which snapshot/feed/step the copies the
+    estimator's probe discipline reads (the active copy alone under
     :class:`~repro.core.disciplines.ActiveCopyDiscipline`, every copy
     under the private-aggregate discipline) — ``probes`` is always a
-    tuple of copy indices — and *non-probed* fan-out feeds, whose
-    ``exclude`` is the same tuple (empty for uniform fan-outs such as
-    the heavy-hitters ring).
+    tuple of copy indices — and *fan-out* feeds of named copies:
+    ``feed_range(lo, hi, indices)`` feeds raw updates ``[lo, hi)``
+    (a clean chunk's others, or a crossing chunk's lagging copies from
+    their offset), ``feed_sub(indices)`` the boundary probe's
+    pre-processed chunk.
 
     When the manager carries stacked copy groups, the bulk feeds route
     through the stacks: a staged chunk is aggregated and hashed **once**
     per stack (``prepare``) and the resulting columns are reused across
-    the probe feed and the non-probed fan-out — the shared hash pass that
-    makes k copies cost one kernel invocation instead of k call chains.
-    Only whole-chunk preps are cached; a crossing chunk's bisection
-    halves, catch-ups and leaf feeds gather their columns out of the
-    whole-chunk prep on demand (``SketchStack.subset``) and drop them, so
-    a crossing holds one prep per stack however deep it bisects.
-    Results are bit-for-bit those of the per-object path.
+    the probe feed and the fan-out — the shared hash pass that makes k
+    copies cost one kernel invocation instead of k call chains.  Only
+    whole-chunk preps are cached.  A whole raw chunk first needed by a
+    crossing search is prepared lazily (``SketchStack.prepare_lazy``:
+    KMV hashes only the planes fed from it), and its bisection halves,
+    lagging-copy feeds and leaf feeds are taken out of it on demand
+    (``SketchStack.subrange``: KMV gathers the fed planes' columns by
+    position) and dropped, so a crossing holds one prep per stack
+    however deep it bisects.  Results are bit-for-bit those of the
+    per-object path.
     """
 
     def __init__(self, copies: CopyManager, unique_hint: bool = False):
@@ -489,8 +494,8 @@ class LocalCopyBackend:
         """Stage a pre-processed (deduped/aggregated) feed without probing.
 
         Used by uniform fan-outs that have no copy to probe (the
-        heavy-hitters ring): ``feed_others_sub(())`` then feeds every
-        copy the staged arrays.
+        heavy-hitters ring): ``feed_all_sub()`` then feeds every copy the
+        staged arrays.
         """
         self._sub = (items, deltas)
         self._sub_unique = assume_unique
@@ -502,27 +507,36 @@ class LocalCopyBackend:
         else:
             sketch.update_batch(items, deltas)
 
-    def _prepared(self, key: tuple, stack, items, deltas):
-        prep = self._prep.get(key)
-        if prep is None:
-            prep = stack.prepare(items, deltas)
-            self._prep[key] = prep
+    def _prepared(self, key: tuple, stack, items, deltas, lazy=False):
+        if key in self._prep:
+            return self._prep[key]
+        prep = (stack.prepare_lazy if lazy else stack.prepare)(items, deltas)
+        self._prep[key] = prep
         return prep
+
+    def _whole_raw(self, stack, lazy: bool = True):
+        """The whole staged chunk's prep for ``stack``, built once.
+
+        A boundary probe builds it eagerly (every plane is fed on a
+        clean chunk); one first built by a crossing search is lazy
+        (:meth:`SketchStack.prepare_lazy`), so only the planes the
+        search and the deferred fan-out feed from it are hashed.
+        """
+        return self._prepared(("raw", id(stack)), stack, self._items,
+                              self._deltas, lazy=lazy)
 
     def _raw_prepared(self, stack, lo: int, hi: int):
         """Prepared chunk for ``raw[lo:hi]``, hashing each chunk once.
 
-        The whole staged chunk is prepared once and cached; a subrange
-        (bisection half, catch-up, leaf feed) is gathered out of it
-        (:meth:`SketchStack.subset`) for the one feed that asks and not
-        kept, so a crossing costs one stacked hash pass and holds one
-        prep per stack.
+        A subrange (bisection half, lagging copy's feed, leaf feed) is
+        taken out of the whole-chunk prep (:meth:`SketchStack.subrange`;
+        positional for KMV) for the one feed that asks and not kept, so
+        a crossing holds one prep per stack.
         """
-        whole = self._prepared(("raw", id(stack)), stack, self._items,
-                               self._deltas)
+        whole = self._whole_raw(stack)
         if lo == 0 and hi == len(self._items):
             return whole
-        return stack.subset(whole, self._items[lo:hi], self._deltas[lo:hi])
+        return stack.subrange(whole, self._items, self._deltas, lo, hi)
 
     def _snapshot_probes(self, probes: tuple[int, ...]) -> dict:
         """Composite snapshot: stacked planes as one array copy each."""
@@ -589,7 +603,7 @@ class LocalCopyBackend:
         record = {"stacks": [], "objects": []}
         for stack, planes, positions in parts:
             record["stacks"].append((stack, stack.save(planes)))
-            prep = self._raw_prepared(stack, 0, len(items))
+            prep = self._whole_raw(stack, lazy=False)
             stack.feed(prep, planes)
             if len(planes) > 1:
                 ys[positions] = stack.query_all()[planes]
@@ -703,46 +717,47 @@ class LocalCopyBackend:
                 return lo + off, y
         return None
 
-    # -- non-probed copies ----------------------------------------------
+    # -- fan-out feeds --------------------------------------------------
 
-    def feed_others_sub(self, exclude: tuple[int, ...]) -> None:
+    def feed_sub(self, indices: tuple[int, ...]) -> None:
+        """Feed the staged pre-processed chunk (``probe_sub`` or
+        ``stage_sub``) to the given copies."""
         items, deltas = self._sub
         copies = self._copies
         if not copies.stacks:
-            excluded = set(exclude)
-            for idx, s in enumerate(copies.sketches):
-                if idx not in excluded:
-                    self._feed_one(s, items, deltas, self._sub_unique)
+            for idx in indices:
+                self._feed_one(copies.sketches[idx], items, deltas,
+                               self._sub_unique)
             return
-        excluded = set(exclude)
-        others = [i for i in range(copies.count) if i not in excluded]
-        parts, rest = copies.stack_plan(others)
+        parts, rest = copies.stack_plan(indices)
         for stack, planes, _ in parts:
             prep = self._prepared(("sub", id(stack)), stack, items, deltas)
             stack.feed(prep, planes)
         for _, idx in rest:
             self._feed_one(copies.sketches[idx], items, deltas, self._sub_unique)
 
-    def feed_others_raw(self, exclude: tuple[int, ...]) -> None:
-        self.catch_up(0, len(self._items), exclude)
-
-    def catch_up(self, lo: int, hi: int, exclude: tuple[int, ...]) -> None:
+    def feed_range(self, lo: int, hi: int, indices: tuple[int, ...]) -> None:
+        """Feed the staged raw updates ``[lo, hi)`` to the given copies."""
         items, deltas = self._items[lo:hi], self._deltas[lo:hi]
         copies = self._copies
         if not copies.stacks:
-            excluded = set(exclude)
-            for idx, s in enumerate(copies.sketches):
-                if idx not in excluded:
-                    s.update_batch(items, deltas)
+            for idx in indices:
+                copies.sketches[idx].update_batch(items, deltas)
             return
-        excluded = set(exclude)
-        others = [i for i in range(copies.count) if i not in excluded]
-        parts, rest = copies.stack_plan(others)
+        parts, rest = copies.stack_plan(indices)
         for stack, planes, _ in parts:
-            prep = self._raw_prepared(stack, lo, hi)
-            stack.feed(prep, planes)
+            stack.feed(self._raw_prepared(stack, lo, hi), planes)
         for _, idx in rest:
             copies.sketches[idx].update_batch(items, deltas)
+
+    def feed_all_sub(self) -> None:
+        """Uniform fan-out of the staged pre-processed chunk (the
+        heavy-hitters ring, which has no copy to probe)."""
+        self.feed_sub(tuple(range(self._copies.count)))
+
+    def feed_all_raw(self) -> None:
+        """Uniform fan-out of the whole staged raw chunk."""
+        self.feed_range(0, len(self._items), tuple(range(self._copies.count)))
 
     def replace(self, idx: int, rng: np.random.Generator) -> None:
         copies = self._copies
@@ -813,7 +828,7 @@ class UniverseLocalBackend(LocalCopyBackend):
     aggregation pipeline collapses: the stacked hash columns for the
     *whole universe* are evaluated once per session
     (``SketchStack.prepare_universe``), and every prepared chunk —
-    boundary probe, non-probed fan-out, bisection half, catch-up —
+    boundary probe, fan-out, bisection half, lagging-copy feed —
     becomes an ``np.bincount`` over the staged slice wrapped as a
     counts-only prep that feeds through those live columns
     (``prepare_counts``).  That eliminates both the per-chunk
@@ -885,18 +900,22 @@ class UniverseLocalBackend(LocalCopyBackend):
             )
         return counts
 
-    def _raw_prepared(self, stack, lo: int, hi: int):
+    def _whole_raw(self, stack, lazy: bool = True):
         cols = self._universe_cols(stack)
         if cols is None:
-            return super()._raw_prepared(stack, lo, hi)
-        if lo != 0 or hi != len(self._items):
-            return stack.prepare_counts(cols, self._range_counts(lo, hi))
+            return super()._whole_raw(stack, lazy)
         key = ("raw", id(stack))
-        prep = self._prep.get(key)
-        if prep is None:
-            prep = stack.prepare_counts(cols, self._range_counts(lo, hi))
-            self._prep[key] = prep
-        return prep
+        if key not in self._prep:
+            self._prep[key] = stack.prepare_counts(
+                cols, self._range_counts(0, len(self._items))
+            )
+        return self._prep[key]
+
+    def _raw_prepared(self, stack, lo: int, hi: int):
+        cols = self._universe_cols(stack)
+        if cols is None or (lo == 0 and hi == len(self._items)):
+            return super()._raw_prepared(stack, lo, hi)
+        return stack.prepare_counts(cols, self._range_counts(lo, hi))
 
     def _refresh_plane(self, stack, plane: int) -> None:
         super()._refresh_plane(stack, plane)

@@ -60,8 +60,12 @@ chunk.  A crossing chunk is rolled back and
 resolved on the raw updates by snapshot bisection of the probed copies —
 per-item exact for bisectable bands (multiplicative/epoch over monotone
 quantities), cell-granularity coalescing for the additive band (see
-:mod:`repro.core.bands`) — after which the remaining copies
-batch-catch-up to each switch position.  Published outputs and switch counts are bit-for-bit identical
+:mod:`repro.core.bands`) — while the remaining copies are fed late: each
+once, when it enters the probe set or at the end of the chunk, from the
+offset where it still lacks updates.  A switch on a chunk's last update
+sends the next chunk through the same exact search, since the per-item
+protocol checks the fresh estimate on that chunk's first update.
+Published outputs and switch counts are bit-for-bit identical
 to the per-item protocol whenever the inner sketches' ``update_batch``
 reproduces per-item state exactly (true for the exact-state sketches:
 KMV, HLL, CountMin, F1, the exact baselines; float accumulators match up
@@ -205,6 +209,14 @@ class SwitchingEstimator(Sketch):
         )
         self._published = 0.0
         self.switches = 0
+        #: Did the last switch land on the last update seen?  Then the
+        #: fresh decision estimate has not been checked against the new
+        #: band on any update yet, and the next chunk must start with
+        #: the exact search (whose first item is stepped per item)
+        #: instead of a boundary probe that could coalesce an exit on
+        #: its first item.  The per-item path sets it on every switch
+        #: and never clears it; the chunk drive loop sets it exactly.
+        self._edge_switch = False
         #: Any update ingested yet?  Guards set_discipline: a switch-free
         #: prefix still carries copy state (and observable publications)
         #: the new discipline's accounting would not cover.
@@ -274,6 +286,7 @@ class SwitchingEstimator(Sketch):
         d = self.discipline
         self._published = d.publish(self.band, y)
         self.switches += 1
+        self._edge_switch = True
         d.on_publish(self._copies, self.switches, replace=replace)
         tele = self._copies.telemetry
         if tele.enabled:
@@ -331,8 +344,10 @@ class SwitchingProtocol:
     :class:`~repro.core.disciplines.ProbeDiscipline` names the copies a
     band decision reads — the active copy alone for Algorithm 1, every
     copy for the DP private aggregate — so the driver probes *those*
-    first and touches the remaining copies exactly once per clean chunk
-    (or once per switch segment on a crossing chunk).
+    first and touches the remaining copies exactly once per clean chunk.
+    On a crossing chunk a copy outside the probe set is fed once per
+    life in the chunk — when it enters the probe set, or at the end —
+    with copies sharing an offset fed together (:meth:`_drive_raw`).
 
     The optional *hoists* — pre-aggregating each chunk once instead of
     once per copy, and dropping items every live copy has already seen —
@@ -400,10 +415,14 @@ class SwitchingProtocol:
         sw = self._sw
         sw._ingested = True
         self._backend.stage(items, deltas)
-        if count <= REPLAY_LEAF:
+        if count <= REPLAY_LEAF or sw._edge_switch:
             # Tiny chunks replay per item with the band checked every
-            # update (no chunk-level coalescing), like the per-item path.
-            self._drive_raw(0, count)
+            # update (no chunk-level coalescing), like the per-item path;
+            # so does the chunk after a switch on the previous chunk's
+            # last update, whose first item may already cross the new
+            # band (the per-item path switches there, a boundary probe
+            # would not).
+            self._drive_raw(count)
             return
         timings = self.timings
         probes = self._probes()
@@ -457,10 +476,13 @@ class SwitchingProtocol:
             # the guaranteed no-op.
             self._backend.keep_probed(probes)
             if len(probes) < self._copies.count:
+                others = tuple(
+                    i for i in range(self._copies.count) if i not in probes
+                )
                 if probed_sub:
-                    self._backend.feed_others_sub(probes)
+                    self._backend.feed_sub(others)
                 else:
-                    self._backend.feed_others_raw(probes)
+                    self._backend.feed_range(0, count, others)
             if uniq is not None:
                 self._seen.mark(uniq)
             timings["feed"] += time.perf_counter() - tick
@@ -468,48 +490,88 @@ class SwitchingProtocol:
         # Crossed somewhere inside: rewind the probed copies and resolve
         # the switch positions exactly on the raw updates.
         self._backend.roll_probed(probes)
-        self._drive_raw(0, count)
+        self._drive_raw(count, probed_sub)
 
-    def _drive_raw(self, lo: int, hi: int) -> None:
-        """Resolve [lo, hi) exactly: locate each switch via the probed
-        copies, then batch the remaining copies up to it.
+    def _drive_raw(self, count: int, probed_sub: bool = False) -> None:
+        """Resolve the staged chunk exactly: locate each switch via the
+        probed copies, and feed every other copy once, late.
 
-        On entry no copy has seen [lo, hi).  The probed copies advance
-        through :meth:`_search`; after each located switch the other
-        copies catch up to the switch position in one feed and the
-        protocol continues with the discipline's (possibly changed)
-        probe set.
+        On entry no copy has seen the chunk.  The probed copies advance
+        through :meth:`_search`; every other copy is *deferred*: a
+        publish decision reads only the discipline's probe set (and
+        ``on_publish`` only its own stash), so a copy needs the chunk
+        only once it is read.  ``start[i]`` is the offset from which
+        copy ``i`` still lacks updates.  A copy entering the probe set
+        is fed from its offset up to the search position; a copy that
+        ``replace`` rebuilds at a switch is born at the next offset and
+        drops what it lacked; at the end of the chunk every copy is fed
+        from its offset, one stacked feed per distinct offset.  Copies
+        that lack the whole chunk take the boundary probe's
+        pre-processed feed when it made one (``probed_sub``: the seen
+        filter or the aggregate-once hoist) — the feed a clean chunk
+        gives them — so only the planes fed raw updates are hashed for
+        the raw chunk.
         """
         sw = self._sw
         timings = self.timings
+        backend = self._backend
         switches_before = sw.switches
-        pos = lo
-        while pos < hi:
+        start = [0] * self._copies.count
+        born = 0
+
+        def replace(idx: int, rng) -> None:
+            backend.replace(idx, rng)
+            start[idx] = born
+
+        pos = 0
+        last = -1
+        while pos < count:
             probes = self._probes()
-            all_probed = len(probes) == self._copies.count
             tick = time.perf_counter()
-            crossing = self._search(pos, hi, probes)
+            lagging = [i for i in probes if start[i] < pos]
+            if lagging:
+                self._feed_from(start, lagging, pos)
+                tock = time.perf_counter()
+                timings["feed"] += tock - tick
+                tick = tock
+            crossing = self._search(pos, count, probes)
             tock = time.perf_counter()
             timings["probe"] += tock - tick
             if crossing is None:
-                if not all_probed:
-                    self._backend.catch_up(pos, hi, probes)
-                    timings["feed"] += time.perf_counter() - tock
+                for i in probes:
+                    start[i] = count
                 break
-            cpos, y = crossing
-            if not all_probed:
-                self._backend.catch_up(pos, cpos + 1, probes)
-                now = time.perf_counter()
-                timings["feed"] += now - tock
-                tock = now
-            sw._commit_switch(y, replace=self._backend.replace, position=cpos)
+            last, y = crossing
+            born = pos = last + 1
+            for i in probes:
+                start[i] = pos
+            sw._commit_switch(y, replace=replace, position=last)
             timings["replace"] += time.perf_counter() - tock
-            pos = cpos + 1
+        tick = time.perf_counter()
+        if probed_sub:
+            whole = [i for i, off in enumerate(start) if off == 0]
+            if whole:
+                backend.feed_sub(tuple(whole))
+                for i in whole:
+                    start[i] = count
+        self._feed_from(start, range(len(start)), count)
+        timings["feed"] += time.perf_counter() - tick
+        sw._edge_switch = last == count - 1
         if self._seen is not None and sw.switches != switches_before:
             # A switch invalidates the filter: a replacement (or newly
             # active) copy was born mid-chunk and must re-see later
             # occurrences of items the older copies already absorbed.
             self._seen.reset()
+
+    def _feed_from(self, start: list[int], indices, hi: int) -> None:
+        """Feed each copy in ``indices`` from ``start[i]`` up to ``hi``:
+        one backend feed per distinct offset."""
+        groups: dict[int, list[int]] = {}
+        for i in indices:
+            if start[i] < hi:
+                groups.setdefault(start[i], []).append(i)
+        for lo, group in sorted(groups.items()):
+            self._backend.feed_range(lo, hi, tuple(group))
 
     def _search(
         self, lo: int, hi: int, probes: tuple[int, ...]

@@ -329,23 +329,22 @@ class _ProcessCopyBackend:
     def stage_sub(self, items, deltas, assume_unique: bool) -> None:
         """Stage a pre-processed (aggregated) feed right after
         :meth:`stage` (which fenced the previous chunk); the next
-        ``feed_others_sub(())`` fans it to every copy."""
+        ``feed_all_sub()`` fans it to every copy."""
         self._sub_len = self._buffers.write("sub", items, deltas)
         self._sub_unit = deltas is None
         self._sub_unique = assume_unique
 
-    def _feed_all(self, exclude, msg) -> None:
-        assert not exclude, "a uniform ring feeds every copy"
+    def _feed_all(self, msg) -> None:
         for conn in self._conns:
             _send(conn, msg)
         self._dirty = True
 
-    def feed_others_sub(self, exclude: tuple[int, ...]) -> None:
-        self._feed_all(exclude, ("feed", "sub", self._sub_len,
-                                 self._sub_unit, self._sub_unique))
+    def feed_all_sub(self) -> None:
+        self._feed_all(("feed", "sub", self._sub_len, self._sub_unit,
+                        self._sub_unique))
 
-    def feed_others_raw(self, exclude: tuple[int, ...]) -> None:
-        self._feed_all(exclude, ("feed", "raw", self._raw_len, False, False))
+    def feed_all_raw(self) -> None:
+        self._feed_all(("feed", "raw", self._raw_len, False, False))
 
     def replace(self, idx: int, rng: np.random.Generator) -> None:
         _send(self._conns[self._owner[idx]], ("replace", idx, rng))
@@ -636,9 +635,9 @@ class _EpochSession(IngestSession):
         ring.stage(items, deltas)
         if hoists.aggregate_once:
             ring.stage_sub(aggregated[0], aggregated[1], hoists.unique_hint)
-            ring.feed_others_sub(())
+            ring.feed_all_sub()
         else:
-            ring.feed_others_raw(())
+            ring.feed_all_raw()
 
     def query(self) -> float:
         # Published snapshots and the L2 estimate are coordinator state.

@@ -218,13 +218,35 @@ class KMVSketch(Sketch):
 
 
 class _KMVPrep:
-    """A chunk deduped once and hashed for every plane."""
+    """A chunk deduped once and hashed for every plane.
 
-    __slots__ = ("unique", "hashes")
+    ``ready`` is ``None`` when every plane's hash column holds; otherwise
+    it masks the planes whose columns are current, and a feed hashes the
+    missing planes it selects first (deferred preps, refreshed planes).
+    ``inverse`` maps each position of the staged chunk to its column
+    (``-1`` for non-positive deltas); built on the first positional
+    subrange.
+    """
 
-    def __init__(self, unique, hashes):
+    __slots__ = ("unique", "hashes", "ready", "inverse", "gaps")
+
+    def __init__(self, unique, hashes, ready=None):
         self.unique = unique  # sorted distinct items with positive delta
         self.hashes = hashes  # (planes, distinct) uint64 hash columns
+        self.ready = ready
+        self.inverse = None
+        self.gaps = False  # inverse holds -1 entries
+
+
+class _KMVRange:
+    """A contiguous subrange of a staged chunk, as column positions into
+    its whole-chunk prep: repeats are kept (the merge drops them)."""
+
+    __slots__ = ("prep", "cols")
+
+    def __init__(self, prep, cols):
+        self.prep = prep
+        self.cols = cols
 
 
 class KMVStack(SketchStack):
@@ -263,6 +285,15 @@ class KMVStack(SketchStack):
         hashes = hash_many_stacked([s._hash for s in self.sketches], unique)
         return _KMVPrep(unique, hashes)
 
+    def prepare_lazy(self, items, deltas=None):
+        unique = _positive_distinct(items, deltas)
+        if unique is None:
+            return None
+        return _KMVPrep(
+            unique, np.empty((self.planes, len(unique)), dtype=np.uint64),
+            np.zeros(self.planes, dtype=bool),
+        )
+
     def subset(self, prepared, items, deltas=None):
         unique = _positive_distinct(items, deltas)
         if unique is None:
@@ -270,12 +301,46 @@ class KMVStack(SketchStack):
         # Every distinct item of the slice is in the full chunk's sorted
         # unique array; gather its hash columns instead of re-hashing.
         idx = np.searchsorted(prepared.unique, unique)
-        return _KMVPrep(unique, prepared.hashes[:, idx])
+        ready = None if prepared.ready is None else prepared.ready.copy()
+        return _KMVPrep(unique, prepared.hashes[:, idx], ready)
+
+    def subrange(self, prepared, items, deltas, lo, hi):
+        if prepared is None:
+            return None
+        inv = prepared.inverse
+        if inv is None:
+            # One lookup per staged chunk; every later subrange is a
+            # slice of it, with no dedupe or search of its own.
+            inv = np.searchsorted(prepared.unique, items)
+            gaps = deltas <= 0
+            if gaps.any():
+                inv[gaps] = -1
+                prepared.gaps = True
+            prepared.inverse = inv
+        cols = inv[lo:hi]
+        if prepared.gaps:
+            cols = cols[cols >= 0]
+        return _KMVRange(prepared, cols) if len(cols) else None
 
     def refresh(self, prepared, plane: int) -> None:
-        prepared.hashes[plane] = self.sketches[plane]._hash.hash_many(
-            prepared.unique
-        )
+        # Deferred: the plane is re-hashed by the next feed that selects
+        # it, so a prep that never feeds it again pays nothing.
+        if prepared.ready is None:
+            prepared.ready = np.ones(self.planes, dtype=bool)
+        prepared.ready[plane] = False
+
+    def _columns(self, prepared, sel: np.ndarray) -> np.ndarray:
+        """``prepared``'s hash columns, with ``sel``'s planes current."""
+        ready = prepared.ready
+        if ready is not None:
+            missing = sel[~ready[sel]]
+            if len(missing):
+                prepared.hashes[missing] = hash_many_stacked(
+                    [self.sketches[p]._hash for p in missing.tolist()],
+                    prepared.unique,
+                )
+                ready[missing] = True
+        return prepared.hashes
 
     def feed(self, prepared, planes) -> None:
         if prepared is None:
@@ -284,7 +349,11 @@ class KMVStack(SketchStack):
         if len(sel) == 0:
             return
         block = self.mins
-        hashes = prepared.hashes[sel]
+        if type(prepared) is _KMVRange:
+            columns = self._columns(prepared.prep, sel)
+            hashes = columns[sel[:, None], prepared.cols]
+        else:
+            hashes = self._columns(prepared, sel)[sel]
         # Each plane keeps only hashes below its own k-th minimum; planes
         # with no survivor skip the merge.
         live = hashes < block[sel, -1:]

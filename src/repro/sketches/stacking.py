@@ -142,6 +142,29 @@ class SketchStack(abc.ABC):
         """
         return self.prepare(items, deltas)
 
+    def prepare_lazy(self, items, deltas):
+        """:meth:`prepare` for a chunk only a few planes will be fed.
+
+        A crossing chunk's search feeds its whole-chunk prep to the
+        probed, newly active and reborn planes alone; a stack whose
+        prepare hashes per plane may defer each plane's columns until a
+        feed first selects it.  The default prepares eagerly; feeds are
+        bit-for-bit identical either way.
+        """
+        return self.prepare(items, deltas)
+
+    def subrange(self, prepared, items, deltas, lo: int, hi: int):
+        """Prepared chunk for ``items[lo:hi]``, where ``prepared`` came
+        from :meth:`prepare` or :meth:`prepare_lazy` over the whole
+        ``items``/``deltas``.
+
+        A stack may answer positionally — index the slice's columns out
+        of ``prepared`` without deduplicating the slice — when its feed
+        is insensitive to repeated items.  The default is
+        :meth:`subset` of the slice.
+        """
+        return self.subset(prepared, items[lo:hi], deltas[lo:hi])
+
     @abc.abstractmethod
     def refresh(self, prepared, plane: int) -> None:
         """Recompute ``plane``'s hash columns in a prepared chunk, in place.
@@ -150,7 +173,8 @@ class SketchStack(abc.ABC):
         retirement, ladder refresh) brings new hash functions, so every
         prepared chunk or universe-columns object cached across the
         install must be refreshed before it feeds that plane again.
-        Columns of the other planes are untouched.
+        Columns of the other planes are untouched.  A stack may defer
+        the recomputation to the next feed that selects the plane.
         """
 
     @abc.abstractmethod

@@ -71,20 +71,50 @@ class _ExactEntropy(Sketch):
 
 
 def _per_item_trace(est, items, chunk):
+    """Per chunk: published value, switch count, and the stream
+    positions (item indices) of the switches inside the chunk."""
     trace = []
     for lo in range(0, len(items), chunk):
-        for item in items[lo:lo + chunk]:
+        positions = []
+        for off, item in enumerate(items[lo:lo + chunk]):
+            before = est.switches
             est.update(int(item), 1)
-        trace.append((est.query(), est.switches))
+            if est.switches != before:
+                positions.append(lo + off)
+        trace.append((est.query(), est.switches, tuple(positions)))
     return trace
 
 
+def _log_switch_offsets(est):
+    """Record each switch's offset within its chunk: the ``position`` the
+    chunk drive loop hands the switch site, which ``SwitchEvent.position``
+    reports."""
+    offsets = []
+    commit = est._commit_switch
+
+    def logged(y, replace=None, position=None):
+        offsets.append(position)
+        commit(y, replace=replace, position=position)
+
+    est._commit_switch = logged
+    return offsets
+
+
 def _chunked_trace(est, items, chunk, engine=None):
+    """Like :func:`_per_item_trace`, so a switch moved to another
+    position inside a chunk fails even when the published values
+    coincide."""
     trace = []
+    offsets = _log_switch_offsets(est)
+
+    def record(lo, value):
+        trace.append((value, est.switches, tuple(lo + o for o in offsets)))
+        offsets.clear()
+
     if engine is None:
         for lo in range(0, len(items), chunk):
             est.update_chunk(np.asarray(items[lo:lo + chunk], dtype=np.int64))
-            trace.append((est.query(), est.switches))
+            record(lo, est.query())
         return trace
     with engine.session(est) as session:
         if isinstance(engine, ProcessEngine):
@@ -93,7 +123,7 @@ def _chunked_trace(est, items, chunk, engine=None):
             assert mp.active_children() == []
         for lo in range(0, len(items), chunk):
             session.feed(np.asarray(items[lo:lo + chunk], dtype=np.int64))
-            trace.append((session.query(), est.switches))
+            record(lo, session.query())
     return trace
 
 
@@ -313,6 +343,95 @@ class TestDifferenceLadderEquivalence:
         assert a.discipline.ladder.tier_generations[0] >= 1, (
             "stream did not force a tier refresh"
         )
+
+
+class TestChunkEdgeSwitch:
+    """A switch on a chunk's last update: the fresh decision estimate is
+    first checked on the next chunk's first item, where the per-item
+    path may switch again at once.  The next chunk must not be resolved
+    by a boundary probe, which would coalesce that exit whenever the
+    estimate is back in band by the chunk's end."""
+
+    @pytest.mark.parametrize("seed,chunk", [(335, 96), (492, 200)])
+    def test_restart_ring(self, seed, chunk):
+        items = np.random.default_rng(seed).integers(0, 256, 500).tolist()
+        t0 = _per_item_trace(_kmv_estimator(True), items, chunk)
+        t1 = _chunked_trace(_kmv_estimator(True), items, chunk)
+        t2 = _chunked_trace(_kmv_estimator(True), items, chunk,
+                            SerialEngine())
+        assert t0 == t1 == t2
+        edges = [p for _, _, ps in t0 for p in ps if p % chunk == 0 and p]
+        assert any(p - 1 in ps for _, _, ps in t0 for p in edges), (
+            "stream did not switch on both sides of a chunk edge"
+        )
+
+    def test_ladder(self):
+        items = np.random.default_rng(794).integers(0, 256, 300).tolist()
+        chunk = 186
+        trace = []
+        for engine in (None, None, SerialEngine()):
+            est = _ladder_estimator(capacity0=2, capacity1=1)
+            trace.append(
+                _per_item_trace(est, items, chunk) if not trace
+                else _chunked_trace(est, items, chunk, engine)
+            )
+        assert trace[0] == trace[1] == trace[2]
+        assert {184, 185, 186} <= set(trace[0][0][2] + trace[0][1][2])
+
+
+class TestDeferredFanOut:
+    """Crossing chunks with several switches each, where copies enter
+    the probe set (and are reborn) mid-chunk: the copies fed late must
+    end every chunk exactly where the per-item path leaves them."""
+
+    @staticmethod
+    def _assert_identical(make, items, chunk):
+        t0 = _per_item_trace(make(), items, chunk)
+        t1 = _chunked_trace(make(), items, chunk)
+        t2 = _chunked_trace(make(), items, chunk, SerialEngine())
+        assert t0 == t1 == t2
+        assert max(len(ps) for _, _, ps in t0) >= 3, (
+            "no chunk held three switches"
+        )
+        return t0
+
+    @pytest.mark.parametrize("restart", [True, False])
+    def test_active_copy(self, restart):
+        items = list(range(700)) + [i % 300 for i in range(300)]
+        self._assert_identical(lambda: _kmv_estimator(restart), items, 350)
+
+    def test_dp_retirement(self):
+        items = list(range(600)) + [i % 97 for i in range(200)]
+        self._assert_identical(
+            lambda: _dp_estimator(copies=4, budget=3), items, 400
+        )
+
+    def test_ladder_tier_refresh_and_promotion(self):
+        items = list(range(900))
+        ests = []
+
+        def make():
+            ests.append(_ladder_estimator(capacity0=2, capacity1=1,
+                                          tier_budget=2))
+            return ests[-1]
+
+        self._assert_identical(make, items, 450)
+        ladder = ests[1].discipline.ladder
+        assert sum(ladder.tier_generations) >= 1, "no tier refresh"
+        assert ests[1].discipline.budget_state()["checkpoints"] >= 2
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        items=st.lists(st.integers(0, 511), min_size=200, max_size=600),
+        chunk=st.sampled_from([96, 200, 333]),
+        restart=st.booleans(),
+    )
+    def test_random_streams(self, items, chunk, restart):
+        t0 = _per_item_trace(_kmv_estimator(restart), items, chunk)
+        t1 = _chunked_trace(_kmv_estimator(restart), items, chunk)
+        t2 = _chunked_trace(_kmv_estimator(restart), items, chunk,
+                            SerialEngine())
+        assert t0 == t1 == t2
 
 
 class TestAdditiveEquivalence:
