@@ -461,10 +461,21 @@ class LocalCopyBackend:
     crossing search is prepared lazily (``SketchStack.prepare_lazy``:
     KMV hashes only the planes fed from it), and its bisection halves,
     lagging-copy feeds and leaf feeds are taken out of it on demand
-    (``SketchStack.subrange``: KMV gathers the fed planes' columns by
-    position) and dropped, so a crossing holds one prep per stack
-    however deep it bisects.  Results are bit-for-bit those of the
-    per-object path.
+    (``SketchStack.subrange``) and dropped, so a crossing holds one prep
+    per stack however deep it bisects.
+
+    A stack whose whole-chunk prep is the chunk's *columns*
+    (``supports_universe``: CountSketch) resolves a crossing over the
+    chunk's own distinct items, the way the universe path resolves it
+    over ``[0, universe)``: subranges are positional counts over those
+    columns, a first-item step is one scatter-add across the probed
+    planes (``step_item``) and a bisection leaf one vectorized prefix
+    pass (``prefix_estimates``), both addressing updates by column
+    (:meth:`_columns`).  On an aggregate-once chunk the boundary probe's
+    prep already holds the chunk's distinct items and sums, so it
+    doubles as the raw chunk's prep and a crossing hashes nothing more.
+    Stacks that track candidates keep ``subset`` and per-item steps.
+    Results are bit-for-bit those of the per-object path.
     """
 
     def __init__(self, copies: CopyManager, unique_hint: bool = False):
@@ -481,6 +492,8 @@ class LocalCopyBackend:
         #: aggregation + stacked hash pass per staged array per stack,
         #: reused across probe/feed ops until the next stage.
         self._prep: dict[tuple, object] = {}
+        #: id(stack) -> whether its crossings step and scan by column.
+        self._fast: dict[int, bool] = {}
 
     @property
     def capacity(self) -> int:
@@ -514,16 +527,42 @@ class LocalCopyBackend:
         self._prep[key] = prep
         return prep
 
+    def _sub_prepared(self, stack):
+        """The staged pre-processed feed's prep for ``stack``, built once;
+        a deduped feed passes its hint to stacks of sketches that take
+        one (``unique_hint``)."""
+        key = ("sub", id(stack))
+        if key not in self._prep:
+            items, deltas = self._sub
+            if self._sub_unique and self._unique_hint:
+                prep = stack.prepare(items, deltas, assume_unique=True)
+            else:
+                prep = stack.prepare(items, deltas)
+            self._prep[key] = prep
+        return self._prep[key]
+
     def _whole_raw(self, stack, lazy: bool = True):
         """The whole staged chunk's prep for ``stack``, built once.
 
         A boundary probe builds it eagerly (every plane is fed on a
         clean chunk); one first built by a crossing search is lazy
         (:meth:`SketchStack.prepare_lazy`), so only the planes the
-        search and the deferred fan-out feed from it are hashed.
+        search and the deferred fan-out feed from it are hashed.  For a
+        stack whose preps are chunk columns, the prep of the staged
+        chunk's aggregate *is* the raw chunk's (same distinct items,
+        same sums), so a crossing after an aggregate-once probe reuses
+        it instead of hashing the chunk again.
         """
-        return self._prepared(("raw", id(stack)), stack, self._items,
-                              self._deltas, lazy=lazy)
+        key = ("raw", id(stack))
+        sub = self._prep.get(("sub", id(stack)))
+        # A cached pre-processed prep is of the current stage, and one
+        # fed with deltas is the chunk's aggregate (a seen filter's fresh
+        # items come without).
+        if (key not in self._prep and sub is not None
+                and self._sub[1] is not None and stack.supports_universe):
+            self._prep[key] = sub
+        return self._prepared(key, stack, self._items, self._deltas,
+                              lazy=lazy)
 
     def _raw_prepared(self, stack, lo: int, hi: int):
         """Prepared chunk for ``raw[lo:hi]``, hashing each chunk once.
@@ -537,6 +576,29 @@ class LocalCopyBackend:
         if lo == 0 and hi == len(self._items):
             return whole
         return stack.subrange(whole, self._items, self._deltas, lo, hi)
+
+    def _step_fast(self, stack) -> bool:
+        """Whether ``stack``'s crossings step and scan by column: it
+        supports columns and tracks no candidates (heuristic state the
+        column ops do not mirror)."""
+        flag = self._fast.get(id(stack))
+        if flag is None:
+            flag = stack.supports_universe and all(
+                getattr(s, "_track_candidates", 1) == 0
+                for s in stack.sketches
+            )
+            self._fast[id(stack)] = flag
+        return flag
+
+    def _columns(self, stack, lo: int, hi: int):
+        """``(columns, column indices of updates [lo, hi))`` for the
+        column-wise step and prefix pass, or ``None`` where ``stack``
+        steps per item.  Here the columns are the whole staged chunk's
+        prep, and the indices its inverse index."""
+        if not self._step_fast(stack):
+            return None
+        whole = self._whole_raw(stack)
+        return whole, stack.columns_at(whole, self._items, lo, hi)
 
     def _snapshot_probes(self, probes: tuple[int, ...]) -> dict:
         """Composite snapshot: stacked planes as one array copy each."""
@@ -571,8 +633,7 @@ class LocalCopyBackend:
         record = {"stacks": [], "objects": []}
         for stack, planes, positions in parts:
             record["stacks"].append((stack, stack.save(planes)))
-            prep = self._prepared(("sub", id(stack)), stack, items, deltas)
-            stack.feed(prep, planes)
+            stack.feed(self._sub_prepared(stack), planes)
             if len(planes) > 1:
                 ys[positions] = stack.query_all()[planes]
             else:
@@ -668,13 +729,18 @@ class LocalCopyBackend:
                 sk.update(item, delta)
                 ys[i] = sk.query()
             return ys
-        # Per-item mutation stays on the templates (in-place writes flow
-        # through the plane views), but the per-copy query reductions
+        # A column-wise stack takes the update as one scatter-add across
+        # the probed planes; others step the templates (in-place writes
+        # flow through the plane views).  The per-copy query reductions
         # collapse into one stacked pass per group.
         parts, rest = copies.stack_plan(probes)
         for stack, planes, positions in parts:
-            for p in planes:
-                stack.sketches[p].update(item, delta)
+            cols = self._columns(stack, pos, pos + 1)
+            if cols is not None:
+                stack.step_item(cols[0], int(cols[1][0]), delta, planes)
+            else:
+                for p in planes:
+                    stack.sketches[p].update(item, delta)
             if len(planes) > 1:
                 ys[positions] = stack.query_all()[planes]
             else:
@@ -689,11 +755,24 @@ class LocalCopyBackend:
         self, lo: int, hi: int, probes: tuple[int, ...]
     ) -> np.ndarray | None:
         """Probe estimates after every prefix of [lo, hi), computed
-        without feeding — ``(hi - lo, len(probes))`` — or ``None`` when
-        the backend cannot derive them exactly (here: always; the
-        universe backend can), in which case the caller steps per item.
-        """
-        return None
+        without feeding — ``(hi - lo, len(probes))`` — from one
+        ``prefix_estimates`` pass per stack, or ``None`` (the caller then
+        steps per item) unless every probe lives in a column-wise stack
+        and every pass stays exact."""
+        parts, rest = self._copies.stack_plan(probes)
+        if rest:
+            return None
+        out = np.empty((hi - lo, len(probes)), dtype=np.float64)
+        deltas = self._deltas[lo:hi]
+        for stack, planes, positions in parts:
+            cols = self._columns(stack, lo, hi)
+            if cols is None:
+                return None
+            est = stack.prefix_estimates(cols[0], cols[1], deltas, planes)
+            if est is None:
+                return None
+            out[:, positions] = est
+        return out
 
     def scan_probed(
         self, lo: int, hi: int, probe: int, published: float, band
@@ -731,8 +810,7 @@ class LocalCopyBackend:
             return
         parts, rest = copies.stack_plan(indices)
         for stack, planes, _ in parts:
-            prep = self._prepared(("sub", id(stack)), stack, items, deltas)
-            stack.feed(prep, planes)
+            stack.feed(self._sub_prepared(stack), planes)
         for _, idx in rest:
             self._feed_one(copies.sketches[idx], items, deltas, self._sub_unique)
 
@@ -768,11 +846,16 @@ class LocalCopyBackend:
 
     def _refresh_plane(self, stack, plane: int) -> None:
         """The copy installed at ``plane`` hashes differently: recompute
-        its columns (one single-copy hash pass) in every whole-chunk prep
-        cached for ``stack``; subranges gathered later inherit them."""
-        for (_, key), prep in self._prep.items():
-            if key == id(stack) and prep is not None:
-                stack.refresh(prep, plane)
+        its columns (one single-copy hash pass) once in every distinct
+        whole-chunk prep cached for ``stack`` (the raw and the
+        pre-processed key may share one); subranges taken later inherit
+        them."""
+        preps = {
+            id(prep): prep for (_, key), prep in self._prep.items()
+            if key == id(stack) and prep is not None
+        }
+        for prep in preps.values():
+            stack.refresh(prep, plane)
 
     def fetch(self, idx: int) -> Sketch:
         """The copy at ``idx`` (epoch wrappers snapshot it for publishing)."""
@@ -784,6 +867,7 @@ class LocalCopyBackend:
     def close(self) -> None:
         self._snap_stack.clear()
         self._prep.clear()
+        self._fast.clear()
         self._items = self._deltas = self._sub = None
 
 
@@ -839,19 +923,13 @@ class UniverseLocalBackend(LocalCopyBackend):
     aggregated deltas.  Only the whole chunk's prep is kept until the
     next stage; subrange preps are built for one feed and dropped.
 
-    Bisection leaves are resolved without stepping: ``prefix_probed``
-    derives every probed copy's estimate after each prefix of the leaf
-    in one vectorized pass (``prefix_estimates``), and the protocol then
-    feeds the leaf once up to its crossing.  Where that pass would not
-    be exact, and for single updates, ``step_probed`` routes per-item
-    updates through one fancy-indexed scatter-add across all probed
-    planes (``step_item``) instead of k template ``update`` calls.  Both
-    are gated off when candidate tracking is live (heuristic state the
-    fast path does not mirror).
-
-    Stacks that do not support universe columns — and any overweight
-    universe — fall back per-stack to the inherited prepare path, so
-    mixing stacked and unstacked groups stays correct.
+    Only where the columns and column indices come from differs from
+    the bytes path: the universe columns, addressed by the items
+    themselves, so the inherited column-wise leaf pass and first-item
+    step (:meth:`LocalCopyBackend._columns`) run unchanged.  Stacks that
+    do not support universe columns — and any overweight universe —
+    fall back per-stack to the inherited prepare path, so mixing stacked
+    and unstacked groups stays correct.
     """
 
     def __init__(
@@ -863,8 +941,6 @@ class UniverseLocalBackend(LocalCopyBackend):
         self.universe = int(universe)
         #: id(stack) -> universe columns (None = stack unsupported).
         self._ucols: dict[int, object] = {}
-        #: id(stack) -> whether the vectorized leaf step is safe.
-        self._fast: dict[int, bool] = {}
 
     def _universe_cols(self, stack):
         cols = self._ucols.get(id(stack))
@@ -877,19 +953,6 @@ class UniverseLocalBackend(LocalCopyBackend):
             cols = stack.prepare_universe(self.universe) if eligible else None
             self._ucols[id(stack)] = cols
         return cols
-
-    def _step_fast(self, stack) -> bool:
-        flag = self._fast.get(id(stack))
-        if flag is None:
-            flag = (
-                self._universe_cols(stack) is not None
-                and all(
-                    getattr(s, "_track_candidates", 1) == 0
-                    for s in stack.sketches
-                )
-            )
-            self._fast[id(stack)] = flag
-        return flag
 
     def _range_counts(self, lo: int, hi: int) -> np.ndarray:
         counts = np.bincount(self._items[lo:hi], minlength=self.universe)
@@ -917,58 +980,20 @@ class UniverseLocalBackend(LocalCopyBackend):
             return super()._raw_prepared(stack, lo, hi)
         return stack.prepare_counts(cols, self._range_counts(lo, hi))
 
+    def _columns(self, stack, lo: int, hi: int):
+        if not self._step_fast(stack):
+            return None
+        cols = self._universe_cols(stack)
+        if cols is None:
+            return super()._columns(stack, lo, hi)
+        return cols, self._items[lo:hi]
+
     def _refresh_plane(self, stack, plane: int) -> None:
         super()._refresh_plane(stack, plane)
         cols = self._ucols.get(id(stack))
         if cols is not None:
             stack.refresh(cols, plane)
 
-    def step_probed(self, pos: int, probes: tuple[int, ...]) -> np.ndarray:
-        copies = self._copies
-        if not copies.stacks:
-            return super().step_probed(pos, probes)
-        item, delta = int(self._items[pos]), int(self._deltas[pos])
-        ys = np.empty(len(probes), dtype=np.float64)
-        parts, rest = copies.stack_plan(probes)
-        for stack, planes, positions in parts:
-            if self._step_fast(stack):
-                stack.step_item(self._universe_cols(stack), item, delta, planes)
-            else:
-                for p in planes:
-                    stack.sketches[p].update(item, delta)
-            if len(planes) > 1:
-                ys[positions] = stack.query_all()[planes]
-            else:
-                ys[positions[0]] = stack.sketches[planes[0]].query()
-        for i, idx in rest:
-            sk = copies.sketches[idx]
-            sk.update(item, delta)
-            ys[i] = sk.query()
-        return ys
-
-    def prefix_probed(
-        self, lo: int, hi: int, probes: tuple[int, ...]
-    ) -> np.ndarray | None:
-        """Every probe's estimate after each prefix of [lo, hi), from one
-        ``prefix_estimates`` pass per stack; ``None`` unless every probe
-        lives in a fast-path stack and every pass stays exact."""
-        parts, rest = self._copies.stack_plan(probes)
-        if rest:
-            return None
-        out = np.empty((hi - lo, len(probes)), dtype=np.float64)
-        items, deltas = self._items[lo:hi], self._deltas[lo:hi]
-        for stack, planes, positions in parts:
-            if not self._step_fast(stack):
-                return None
-            est = stack.prefix_estimates(
-                self._universe_cols(stack), items, deltas, planes
-            )
-            if est is None:
-                return None
-            out[:, positions] = est
-        return out
-
     def close(self) -> None:
         super().close()
         self._ucols.clear()
-        self._fast.clear()

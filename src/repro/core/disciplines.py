@@ -82,6 +82,7 @@ from repro.core.ladder import (
     require_positive_finite,
 )
 from repro.obs import GenerationEvent, SvtChargeEvent
+from repro.sketches.base import row_median
 
 __all__ = [
     "ActiveCopyDiscipline",
@@ -341,13 +342,14 @@ class PrivateAggregateDiscipline(ProbeDiscipline):
 
     def decide(self, estimates: Sequence[float]) -> float:
         # Probe paths deliver a float64 ndarray (CopyManager.estimate_all
-        # and the backends now return arrays), so no conversion is needed.
-        return float(np.median(estimates)) * self._noise_factor()
+        # and the backends return arrays); row_median is np.median's
+        # value bit for bit.
+        return float(row_median(estimates)) * self._noise_factor()
 
     def decide_many(self, estimates: np.ndarray) -> np.ndarray:
-        # One median per row: the same partition and middle-pair mean
-        # np.median applies to each row alone, times the same factor.
-        return np.median(estimates, axis=1) * self._noise_factor()
+        # One median per row, the value decide takes of each row alone,
+        # times the same factor.
+        return row_median(estimates) * self._noise_factor()
 
     def publish(self, band: BandPolicy, estimate: float) -> float:
         return band.publish_aggregate(estimate)

@@ -635,8 +635,9 @@ class SwitchingProtocol:
         """Resolve a bisection leaf exactly.
 
         A backend that can derive the probed copies' estimates after
-        every prefix of the leaf without feeding it (the universe
-        backend) answers in one pass: :meth:`ProbeDiscipline.decide_many`
+        every prefix of the leaf without feeding it (either local backend,
+        for probes in column-wise stacks) answers in one pass:
+        :meth:`ProbeDiscipline.decide_many`
         turns them into decision estimates, the first one outside the
         band is the crossing, and one ``feed_probed`` brings the probed
         copies up to it.  Otherwise identity-decide disciplines with a

@@ -27,6 +27,11 @@ from repro.hashing.field import (
     poly_eval_vec,
 )
 
+#: ``sign_many_stacked``'s bit mapping: the hash's low bit shifted to the
+#: float64 sign bit, XORed with the bit pattern of -1.0.
+_SIGN_SHIFT = np.uint64(63)
+_MINUS_ONE_BITS = np.uint64(0xBFF0_0000_0000_0000)
+
 
 class KWiseHash:
     """A single function drawn from a k-wise independent family.
@@ -129,8 +134,13 @@ def sign_many_stacked(sign_hashes, xs: np.ndarray) -> np.ndarray:
     Returns a ``(len(sign_hashes), len(xs))`` float64 array of ±1 whose
     row ``i`` matches ``sign_hashes[i].sign_many(xs)`` bit-for-bit.
     """
-    bits = hash_many_stacked([s._h for s in sign_hashes], xs) & np.uint64(1)
-    return bits.astype(np.float64) * 2.0 - 1.0
+    out = hash_many_stacked([s._h for s in sign_hashes], xs)
+    # Shift the low bit into the float64 sign position and flip it into
+    # -1.0's bit pattern: bit 1 gives 0x3FF0... (+1.0), bit 0 gives
+    # 0xBFF0... (-1.0).  Two in-place integer passes, no float casts.
+    np.left_shift(out, _SIGN_SHIFT, out=out)
+    np.bitwise_xor(out, _MINUS_ONE_BITS, out=out)
+    return out.view(np.float64)
 
 
 class KWiseSignHash:

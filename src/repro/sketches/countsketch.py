@@ -28,6 +28,7 @@ from repro.sketches.base import (
     PointQuerySketch,
     aggregate_batch,
     as_batch_arrays,
+    row_median,
     spawn_rngs,
 )
 from repro.sketches.stacking import SketchStack, stack_rows
@@ -259,41 +260,44 @@ class CountSketch(PointQuerySketch):
 EXACT_MASS_LIMIT = 2.0 ** 51
 
 
-class _CountSketchPrep:
-    """A chunk aggregated, bucket-hashed and sign-weighted for all planes."""
-
-    __slots__ = ("unique", "summed", "buckets", "signs", "weighted")
-
-    def __init__(self, unique, summed, buckets, signs):
-        self.unique = unique  # sorted distinct items (np.unique order)
-        self.summed = summed  # float64 summed deltas
-        self.buckets = buckets  # (planes, rows, distinct) bucket columns
-        self.signs = signs  # (planes, rows, distinct) +-1.0 sign columns
-        self.weighted = signs * summed  # (planes, rows, distinct) sign * delta
-
-
 class _CountSketchColumns:
-    """Cells and signs of every item of ``[0, universe)``, for all planes."""
+    """Cells and signs of a sorted set of distinct items, for all planes.
 
-    __slots__ = ("unique", "cells", "signs", "work")
+    The universe fast path hashes all of ``[0, universe)`` once per
+    session; the bytes path hashes one staged chunk's distinct items,
+    and then ``counts`` holds their summed deltas, so the object is also
+    that chunk's whole prep, fed as one dense counts vector.  Either way
+    a feed, a step or a prefix pass addresses an item by its *column*:
+    its index in ``unique``.
+    """
 
-    def __init__(self, unique, cells, signs):
-        self.unique = unique  # arange(universe): the hashed items
-        # (planes, rows, universe) offsets of each item's bucket into the
+    __slots__ = ("unique", "cells", "signs", "counts", "work",
+                 "inverse", "source")
+
+    def __init__(self, unique, cells, signs, counts=None, inverse=None,
+                 source=None):
+        self.unique = unique  # the hashed items, sorted
+        # (planes, rows, distinct) offsets of each item's bucket into the
         # flattened (planes, rows, width) tables
         self.cells = cells
-        self.signs = signs  # (planes, rows, universe) +-1.0 sign columns
+        self.signs = signs  # (planes, rows, distinct) +-1.0 sign columns
+        self.counts = counts  # float64 summed deltas (a chunk's columns)
         self.work = None  # sign * count buffer, made on the first dense feed
+        # Column of each position of ``source``, the update array the
+        # columns were built from or first addressed with.
+        self.inverse = inverse
+        self.source = source
 
 
 class _CountSketchCounts:
-    """A chunk as item counts over the universe, fed through the live
-    universe columns (it holds no hash columns of its own, so a copy
-    installed mid-chunk only needs the columns refreshed).
+    """Summed deltas over a columns object, fed through those columns live
+    (it holds no hash columns of its own, so a copy installed mid-chunk
+    only needs the columns refreshed).
 
-    ``support`` is ``None`` when the chunk covers at least an eighth of
-    the universe and ``counts`` is then the dense float64 count vector;
-    otherwise ``counts`` holds the counts at the sorted ``support`` only.
+    ``support`` is ``None`` when the counts cover at least an eighth of
+    the columns and ``counts`` is then the dense float64 count vector;
+    otherwise ``counts`` holds the counts at the sorted column indices
+    ``support`` only.
     """
 
     __slots__ = ("cols", "counts", "support")
@@ -305,16 +309,21 @@ class _CountSketchCounts:
 
     @property
     def unique(self) -> np.ndarray:
-        """Sorted distinct items of the chunk (candidate bookkeeping)."""
+        """Sorted distinct items with a nonzero count (candidate
+        bookkeeping)."""
         if self.support is not None:
-            return self.support
-        return np.flatnonzero(self.counts)
+            return self.cols.unique[self.support]
+        return self.cols.unique[np.flatnonzero(self.counts)]
 
 
 class CountSketchStack(SketchStack):
     """Stacked tables for k CountSketch copies: one ``(k, rows, width)``
     float64 block, one shared bucket + sign hash pass per chunk, and one
-    weighted bincount to scatter into any subset of planes.  Candidate
+    weighted bincount over flat cell offsets to scatter into any subset
+    of planes.  A chunk's prep is its columns (:class:`_CountSketchColumns`)
+    and acts as that chunk's own universe: subranges, per-item steps and
+    prefix passes address its distinct items by column, exactly as the
+    universe fast path addresses ``[0, universe)``.  Candidate
     bookkeeping stays on the per-plane templates (it is heuristic scalar
     state), exactly mirroring ``update_batch``."""
 
@@ -330,7 +339,7 @@ class CountSketchStack(SketchStack):
         for p, s in enumerate(self.sketches):
             s._table = self.tables[p]
         # The block is C-contiguous, so this is a view every cell offset
-        # of the universe columns indexes into.
+        # of the columns indexes into.
         self._cells_view = self.tables.reshape(-1)
         self._square = np.empty_like(self.tables)  # query_all's t * t
         self._spare: list[np.ndarray] = []  # released whole-stack snapshots
@@ -339,17 +348,29 @@ class CountSketchStack(SketchStack):
     def _whole(self, sel: np.ndarray) -> bool:
         return len(sel) == self.planes and bool((sel == self._all_planes).all())
 
-    def _columns(self, sketches, items):
-        """``(len(sketches), rows, len(items))`` bucket and sign columns
-        of the given copies, in one stacked hash pass."""
-        buckets = [h for s in sketches for h in s._buckets]
-        signs = [g for s in sketches for g in s._signs]
-        cols = (
-            hash_many_stacked(buckets, items) % np.uint64(self.width)
-        ).astype(np.intp)
+    def _tracking(self) -> bool:
+        return any(s._track_candidates for s in self.sketches)
+
+    def _cells(self, planes, items):
+        """``(len(planes), rows, len(items))`` flat cell offsets and sign
+        columns of the given planes' copies, in one stacked hash pass."""
+        sketches = [self.sketches[p] for p in planes]
+        hashed = hash_many_stacked(
+            [h for s in sketches for h in s._buckets], items
+        )
+        width = self.width
+        if width & (width - 1):
+            hashed %= np.uint64(width)
+        else:
+            hashed &= np.uint64(width - 1)  # == % width for a power of two
         shape = (len(sketches), self.rows, len(items))
-        sign_cols = sign_many_stacked(signs, items).reshape(shape)
-        return cols.reshape(shape), sign_cols
+        # Buckets are below the width, so reading them as int64 is exact.
+        cells = hashed.view(np.int64).reshape(shape)
+        cells += self._row_offsets(planes)
+        signs = sign_many_stacked(
+            [g for s in sketches for g in s._signs], items
+        ).reshape(shape)
+        return cells, signs
 
     def _row_offsets(self, planes) -> np.ndarray:
         """``(len(planes), rows, 1)`` offsets of each (plane, row) block
@@ -358,13 +379,19 @@ class CountSketchStack(SketchStack):
         return ((blocks + np.arange(self.rows)) * self.width)[:, :, None]
 
     def prepare(self, items, deltas=None):
+        """The chunk's columns: its sorted distinct items hashed for all
+        planes, their summed deltas, and the column of every update (the
+        inverse ``np.unique`` computes anyway), kept for
+        :meth:`subrange`."""
+        source = items
         items, deltas = as_batch_arrays(items, deltas)
         if len(items) == 0:
             return None
-        unique, summed = aggregate_batch(items, deltas)
-        return _CountSketchPrep(
-            unique, summed.astype(np.float64),
-            *self._columns(self.sketches, unique),
+        unique, inverse = np.unique(items, return_inverse=True)
+        counts = np.bincount(inverse, weights=deltas, minlength=len(unique))
+        return _CountSketchColumns(
+            unique, *self._cells(self._all_planes, unique),
+            counts=counts, inverse=inverse, source=source,
         )
 
     def prepare_universe(self, universe: int):
@@ -378,54 +405,67 @@ class CountSketchStack(SketchStack):
         hashing or sorting a chunk again.
         """
         ids = np.arange(universe, dtype=np.int64)
-        buckets, signs = self._columns(self.sketches, ids)
-        buckets += self._row_offsets(self._all_planes)
-        return _CountSketchColumns(ids, buckets, signs)
+        return _CountSketchColumns(ids, *self._cells(self._all_planes, ids))
 
-    def prepare_counts(self, ucols, counts):
-        """Prepared chunk from a dense count vector over the universe.
+    def prepare_counts(self, cols, counts):
+        """Prepared chunk from a dense count vector over ``cols``.
 
-        For an insertion-only chunk, ``np.nonzero(counts)`` is exactly
-        ``np.unique(items)`` and ``counts`` at the support is exactly
-        ``aggregate_batch``'s summed deltas, so feeding the result equals
-        feeding :meth:`prepare`'s bit for bit while skipping both the
-        sort and the hash pass.  The result references ``ucols`` rather
-        than copying columns out of it.
+        For universe columns and an insertion-only chunk,
+        ``np.nonzero(counts)`` is exactly ``np.unique(items)`` and
+        ``counts`` at the support is exactly ``aggregate_batch``'s summed
+        deltas, so feeding the result equals feeding :meth:`prepare`'s
+        bit for bit while skipping both the sort and the hash pass.  The
+        result references ``cols`` rather than copying columns out of it.
         """
         support = np.flatnonzero(counts)
         if len(support) == 0:
             return None
+        counts = counts.astype(np.float64, copy=False)
         # A sparse feed gathers cells and signs at the support: about
         # three dense elements' work each, plus heap temporaries a dense
         # feed (into the columns' work buffer) avoids.
         if 8 * len(support) >= len(counts):
-            return _CountSketchCounts(ucols, counts.astype(np.float64), None)
-        return _CountSketchCounts(
-            ucols, counts[support].astype(np.float64), support
-        )
+            return _CountSketchCounts(cols, counts, None)
+        return _CountSketchCounts(cols, counts[support], support)
 
-    def step_item(self, ucols, item, delta, planes) -> None:
-        """One per-item update across a set of planes, via universe columns.
+    def columns_at(self, prepared, items, lo: int, hi: int) -> np.ndarray:
+        """Column indices of ``items[lo:hi]`` in ``prepared``, the columns
+        of the whole ``items`` or of its aggregate.
+
+        One inverse index per staged array: the one :meth:`prepare` took
+        from ``np.unique``, or a single ``searchsorted`` when the columns
+        came from the chunk's aggregate; every later call is a slice.
+        """
+        if prepared.source is not items:
+            prepared.inverse = np.searchsorted(prepared.unique, items)
+            prepared.source = items
+        return prepared.inverse[lo:hi]
+
+    def step_item(self, cols, column, delta, planes) -> None:
+        """One per-item update across a set of planes, via columns.
 
         The same scatter-adds ``CountSketch.update`` issues — one cell
         per (plane, row), no duplicate targets — grouped into a single
-        fancy-indexed add.  Candidate bookkeeping is *not* mirrored;
+        fancy-indexed add.  ``column`` indexes ``cols`` (the item itself
+        for universe columns).  Candidate bookkeeping is *not* mirrored;
         callers gate on ``_track_candidates == 0``.
         """
         sel = np.asarray(planes, dtype=np.intp)
         if len(sel) == 0:
             return
-        self._cells_view[ucols.cells[sel, :, item]] += (
-            ucols.signs[sel, :, item] * float(delta)
+        self._cells_view[cols.cells[sel, :, column]] += (
+            cols.signs[sel, :, column] * float(delta)
         )
 
-    def prefix_estimates(self, ucols, items, deltas, planes):
+    def prefix_estimates(self, cols, columns, deltas, planes):
         """Per-plane estimates after every prefix of a run of updates.
 
-        Returns a ``(len(items), len(planes))`` array whose row ``t``
-        equals ``query_all()[planes]`` after stepping ``items[:t + 1]``
-        one by one — without touching the tables — or ``None`` when the
-        run could leave float64's exact-integer range
+        ``columns`` are the run's column indices into ``cols`` (the items
+        themselves for universe columns, :meth:`columns_at` for a
+        chunk's).  Returns a ``(len(columns), len(planes))`` array whose
+        row ``t`` equals ``query_all()[planes]`` after stepping the first
+        ``t + 1`` updates one by one — without touching the tables — or
+        ``None`` when the run could leave float64's exact-integer range
         (:data:`EXACT_MASS_LIMIT`), where the caller steps per item.
 
         Tables only ever hold integers here, so a row's mass moves by
@@ -446,8 +486,8 @@ class CountSketchStack(SketchStack):
         reach = np.sqrt(mass) + np.abs(deltas).sum()
         if not bool((reach * reach < EXACT_MASS_LIMIT).all()):
             return None
-        cells = (ucols.cells if whole else ucols.cells[sel])[:, :, items]
-        weights = (ucols.signs if whole else ucols.signs[sel])[:, :, items]
+        cells = (cols.cells if whole else cols.cells[sel])[:, :, columns]
+        weights = (cols.signs if whole else cols.signs[sel])[:, :, columns]
         weights *= deltas
         steps = self._cells_view[cells]  # each cell's value before the run
         order = np.argsort(cells, axis=2, kind="stable")
@@ -474,33 +514,43 @@ class CountSketchStack(SketchStack):
         steps *= weights  # (2c + w) * w: the row-mass step of each update
         np.cumsum(steps, axis=2, out=steps)
         steps += mass[:, :, None]
-        return np.median(steps.transpose(2, 0, 1), axis=2)
+        return row_median(steps.transpose(2, 0, 1))
 
     def subset(self, prepared, items, deltas=None):
         items, deltas = as_batch_arrays(items, deltas)
         if len(items) == 0:
             return None
         unique, summed = aggregate_batch(items, deltas)
-        # Gather the slice's bucket/sign columns from the full chunk's
-        # hash pass; sign * delta is exact (+-1.0 times an integer-valued
-        # float), so the recombined weights match a fresh prepare bit for
-        # bit.
+        # Gather the slice's cells/sign columns from the full chunk's
+        # hash pass; per-cell sums of the recombined weights match a
+        # fresh prepare bit for bit.
         idx = np.searchsorted(prepared.unique, unique)
-        return _CountSketchPrep(
-            unique, summed.astype(np.float64),
-            prepared.buckets[:, :, idx], prepared.signs[:, :, idx],
+        return _CountSketchColumns(
+            unique, prepared.cells[:, :, idx], prepared.signs[:, :, idx],
+            counts=summed.astype(np.float64),
         )
+
+    def subrange(self, prepared, items, deltas, lo, hi):
+        """``items[lo:hi]`` as counts over the whole chunk's columns: one
+        ``bincount`` of the slice's column indices, no dedupe, search or
+        gather.  Zero-sum items drop out, which only candidate tracking
+        could observe, so stacks that track candidates keep
+        :meth:`subset`."""
+        if prepared is None:
+            return None
+        if self._tracking():
+            return self.subset(prepared, items[lo:hi], deltas[lo:hi])
+        counts = np.bincount(
+            self.columns_at(prepared, items, lo, hi),
+            weights=deltas[lo:hi], minlength=len(prepared.unique),
+        )
+        return self.prepare_counts(prepared, counts)
 
     def refresh(self, prepared, plane: int) -> None:
         if isinstance(prepared, _CountSketchCounts):
-            return  # reads the universe columns, which are refreshed
-        cols, signs = self._columns([self.sketches[plane]], prepared.unique)
-        if isinstance(prepared, _CountSketchColumns):
-            prepared.cells[plane] = cols[0] + self._row_offsets([plane])[0]
-            prepared.signs[plane] = signs[0]
-            return
-        prepared.buckets[plane], prepared.signs[plane] = cols[0], signs[0]
-        prepared.weighted[plane] = prepared.signs[plane] * prepared.summed
+            return  # reads its columns, which are refreshed
+        cells, signs = self._cells([plane], prepared.unique)
+        prepared.cells[plane], prepared.signs[plane] = cells[0], signs[0]
 
     def feed(self, prepared, planes) -> None:
         if prepared is None:
@@ -509,18 +559,10 @@ class CountSketchStack(SketchStack):
         if len(sel) == 0:
             return
         if isinstance(prepared, _CountSketchCounts):
-            self._feed_counts(prepared, sel)
+            self._feed_counts(prepared.cols, prepared.counts,
+                              prepared.support, sel)
         else:
-            distinct = prepared.buckets.shape[2]
-            rows = len(sel) * self.rows
-            flat = prepared.buckets[sel].reshape(rows, distinct)
-            flat = flat + np.arange(rows, dtype=np.intp)[:, None] * self.width
-            counts = np.bincount(
-                flat.ravel(),
-                weights=prepared.weighted[sel].ravel(),
-                minlength=rows * self.width,
-            )
-            self.tables[sel] += counts.reshape(len(sel), self.rows, self.width)
+            self._feed_counts(prepared, prepared.counts, None, sel)
         tracking = [
             self.sketches[p] for p in sel.tolist()
             if self.sketches[p]._track_candidates
@@ -534,36 +576,43 @@ class CountSketchStack(SketchStack):
             if len(sketch._candidates) > 4 * sketch._track_candidates:
                 sketch._prune_candidates()
 
-    def _feed_counts(self, prepared, sel: np.ndarray) -> None:
-        """Scatter a counts prep: one sign * count product, one bincount
-        over the flat cell offsets, one in-place add.  Per-cell sums are
-        integers, so they equal the object path's bit for bit."""
-        cols = prepared.cols
+    def _feed_counts(self, cols, counts, support, sel: np.ndarray) -> None:
+        """Scatter counts over ``cols`` (at ``support``, or dense): one
+        sign * count product, one bincount over the flat cell offsets,
+        one in-place add.  Per-cell sums are integers, so they equal the
+        object path's bit for bit."""
         whole = self._whole(sel)
-        if prepared.support is None and whole:
+        # A dense feed to most planes scatters every plane (no gather of
+        # the selected columns) and adds only the selected planes' sums.
+        most = support is None and 2 * len(sel) >= self.planes
+        if most:
             if cols.work is None:
                 cols.work = np.empty_like(cols.signs)
             cells = cols.cells
-            weights = np.multiply(cols.signs, prepared.counts, out=cols.work)
+            weights = np.multiply(cols.signs, counts, out=cols.work)
         else:
             cells = cols.cells if whole else cols.cells[sel]
             weights = cols.signs if whole else cols.signs[sel]
-            if prepared.support is not None:
-                cells = cells[:, :, prepared.support]
-                weights = weights[:, :, prepared.support]
-            weights = weights * prepared.counts
+            if support is not None:
+                cells = cells[:, :, support]
+                weights = weights[:, :, support]
+            weights = weights * counts
         sums = np.bincount(
             cells.reshape(-1), weights=weights.reshape(-1),
             minlength=self.tables.size,
         ).reshape(self.tables.shape)
         if whole:
             self.tables += sums
+        elif most:
+            fed = np.zeros((self.planes, 1, 1), dtype=bool)
+            fed[sel] = True
+            np.add(self.tables, sums, out=self.tables, where=fed)
         else:
             self.tables[sel] += sums[sel]
 
     def query_all(self) -> np.ndarray:
         row_mass = np.multiply(self.tables, self.tables, out=self._square)
-        return np.median(row_mass.sum(axis=2), axis=1)
+        return row_median(row_mass.sum(axis=2))
 
     def install(self, plane: int, sketch) -> None:
         if sketch._table.shape != self.tables[plane].shape:

@@ -278,8 +278,8 @@ class KMVStack(SketchStack):
                 s._mins = self._block[p]
         return self._block
 
-    def prepare(self, items, deltas=None):
-        unique = _positive_distinct(items, deltas)
+    def prepare(self, items, deltas=None, *, assume_unique: bool = False):
+        unique = _positive_distinct(items, deltas, assume_unique)
         if unique is None:
             return None
         hashes = hash_many_stacked([s._hash for s in self.sketches], unique)

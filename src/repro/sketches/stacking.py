@@ -65,7 +65,15 @@ class SketchStack(abc.ABC):
     """
 
     #: Whether :meth:`prepare_universe` / :meth:`prepare_counts` are
-    #: implemented (the counts-based serial fast path checks this).
+    #: implemented (the counts-based serial fast path checks this) — and
+    #: with them column addressing: a whole-chunk :meth:`prepare` is
+    #: then the chunk's own columns, :meth:`subrange` answers with counts
+    #: over them, ``columns_at`` gives an update range's column indices,
+    #: and ``step_item`` / ``prefix_estimates`` take columns plus column
+    #: indices, so the bytes path resolves a crossing over the chunk's
+    #: distinct items as the universe path does over ``[0, universe)``.
+    #: The prep of a chunk's aggregate then also serves as the prep of
+    #: the raw chunk (same distinct items, same sums).
     supports_universe = False
 
     def __init__(self, sketches):
@@ -89,9 +97,12 @@ class SketchStack(abc.ABC):
         Returns an opaque prepared-chunk object that :meth:`feed` can
         scatter into any subset of planes; the whole point is that one
         ``prepare`` of a staged chunk is reused by its probe and
-        feed-others passes, and that subranges of it (:meth:`subset`)
+        feed-others passes, and that subranges of it (:meth:`subrange`)
         need no hash pass of their own.  Must perform the same input
-        validation, in the same order, as the sketch's ``update_batch``.
+        validation, in the same order, as the sketch's ``update_batch``;
+        a stack of sketches whose ``update_batch`` takes
+        ``assume_unique`` takes it here too (the caller guarantees
+        sorted distinct items, so the stack may skip its dedupe).
         """
 
     def prepare_universe(self, universe: int):
@@ -105,21 +116,23 @@ class SketchStack(abc.ABC):
         ``None`` (unsupported), which keeps the per-chunk prepare path.
         Stacks that return columns also implement ``step_item`` (one
         update across planes) and ``prefix_estimates`` (every prefix's
-        estimates of a run of updates, without feeding it).
+        estimates of a run of updates, without feeding it), both over
+        columns and column indices — here the items themselves.
         """
         return None
 
     def prepare_counts(self, ucols, counts):
-        """Prepared chunk from universe columns plus a dense count vector.
+        """Prepared chunk from columns plus a dense count vector.
 
-        ``counts[i]`` is the summed delta of item ``i`` over the chunk
+        ``counts[i]`` is the summed delta of column ``i`` over the chunk
         (``np.bincount`` of the chunk's items); ``ucols`` comes from
-        :meth:`prepare_universe`.  Feeding the result is bit-for-bit
-        feeding the :meth:`prepare` of the same chunk: the nonzero
-        support of an insertion-only count vector *is* the sorted
-        distinct-item set, and the universe columns hold the same hash
-        evaluations.  The result may read ``ucols`` when fed rather than
-        copy from it, so it stays valid while ``ucols`` is refreshed.
+        :meth:`prepare_universe` (or is a chunk's own columns).  Feeding
+        the result is bit-for-bit feeding the :meth:`prepare` of the same
+        chunk: the nonzero support of an insertion-only count vector *is*
+        the sorted distinct-item set, and the universe columns hold the
+        same hash evaluations.  The result may read ``ucols`` when fed
+        rather than copy from it, so it stays valid while ``ucols`` is
+        refreshed.
         Only stacks whose :meth:`prepare_universe` returns non-``None``
         implement this.
         """
@@ -128,17 +141,17 @@ class SketchStack(abc.ABC):
         )
 
     def subset(self, prepared, items, deltas):
-        """Prepared chunk for a *subrange* of an already-prepared chunk.
+        """Prepared chunk for a *subrange* of an already-prepared chunk,
+        aggregated on its own.
 
         ``prepared`` must be the result of :meth:`prepare` over a chunk
         of which ``items``/``deltas`` is a contiguous slice.  Subclasses
-        whose prepare does per-plane hashing override this to gather the
-        subrange's hash columns out of the full-chunk pass instead of
-        re-hashing (every distinct item of the slice already has its
-        columns in ``prepared``) — the crossing-search bisection requests
-        many nested subranges of one staged chunk, so this turns
-        O(log chunk) hash passes per crossing into one.  The default just
-        re-prepares; results are bit-for-bit identical either way.
+        whose prepare does per-plane hashing override this to dedupe the
+        slice and gather its hash columns out of the full-chunk pass
+        instead of re-hashing (every distinct item of the slice already
+        has its columns in ``prepared``).  The default just re-prepares;
+        results are bit-for-bit identical either way.
+        :meth:`subrange` is the positional entry point the backends call.
         """
         return self.prepare(items, deltas)
 
@@ -156,11 +169,15 @@ class SketchStack(abc.ABC):
     def subrange(self, prepared, items, deltas, lo: int, hi: int):
         """Prepared chunk for ``items[lo:hi]``, where ``prepared`` came
         from :meth:`prepare` or :meth:`prepare_lazy` over the whole
-        ``items``/``deltas``.
+        ``items``/``deltas`` (or, for a ``supports_universe`` stack,
+        over their aggregate).
 
-        A stack may answer positionally — index the slice's columns out
-        of ``prepared`` without deduplicating the slice — when its feed
-        is insensitive to repeated items.  The default is
+        The crossing search asks for many nested subranges of one staged
+        chunk (bisection halves, lagging-copy feeds, leaf feeds).  A
+        stack may answer positionally from one inverse index per staged
+        chunk, without deduplicating the slice: KMV gathers the slice's
+        columns (its merge drops repeats), CountSketch sums the slice's
+        deltas per column with one ``bincount``.  The default is
         :meth:`subset` of the slice.
         """
         return self.subset(prepared, items[lo:hi], deltas[lo:hi])

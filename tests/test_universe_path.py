@@ -17,6 +17,16 @@ per-item / ``prepare`` path:
 * protocol level — forcing the exactness guard makes every leaf take the
   per-item fallback with identical outputs, and a crossing chunk keeps
   only whole-chunk preps cached however deep it bisects.
+
+The bytes path (:class:`~repro.core.copies.LocalCopyBackend`, every
+session without a universe-licensed source) resolves crossings with the
+same machinery over each staged chunk's own columns: positional counts
+subranges, column-wise first-item steps and the same prefix pass.  The
+last section pins it against the universe path, ``update_batch`` and the
+per-object path: equal published values, switch positions, switch
+counts and DP budget, a mid-chunk ring restart, cancelling and
+non-unit deltas, the candidate-tracking fallback, and what a crossing
+no longer calls.
 """
 
 import numpy as np
@@ -30,6 +40,7 @@ from repro.core.disciplines import PrivateAggregateDiscipline
 from repro.core.sketch_switching import REPLAY_LEAF, SwitchingEstimator, SwitchingProtocol
 from repro.engine.executor import SerialEngine
 from repro.sketches import countsketch
+from repro.sketches.base import aggregate_batch
 from repro.sketches.countsketch import CountSketch
 from repro.streams.sources import GeneratorChunkSource
 
@@ -352,3 +363,271 @@ class TestStackPlanMemo:
         manager.restack()
         (restacked, _, _), = manager.stack_plan((0, 2, 4))[0]
         assert restacked is manager.stacks[0] and restacked is not stack
+
+
+# ----------------------------------------------------------------------
+# The bytes path: each staged chunk as its own universe
+# ----------------------------------------------------------------------
+
+
+def _f2_estimator(seed=1, copies=8, discipline=True, restart=False,
+                  track=0, stacked=True):
+    return SwitchingEstimator(
+        factory=lambda rng: CountSketch(32, 5, rng, track_candidates=track),
+        copies=copies, rng=np.random.default_rng(seed),
+        band=MultiplicativeBand(0.5),
+        discipline=(PrivateAggregateDiscipline(noise_scale=0.01)
+                    if discipline else None),
+        restart=restart, stacked=stacked,
+    )
+
+
+def _path_trace(est, chunks, path):
+    """Per chunk: published value, switch count and the switch offsets
+    inside the chunk; then the final budget.  ``path`` is ``"bytes"``
+    (a serial session without a source: the aggregate-once bytes path),
+    ``"batch"`` (``update_batch``: raw probes, no hoists), ``"universe"``
+    (a session opened with ``chunks``, a chunk source) or ``"item"``."""
+    offsets = []
+    commit = est._commit_switch
+
+    def logged(y, replace=None, position=None):
+        if position is not None:  # the per-item loop records its own
+            offsets.append(position)
+        commit(y, replace=replace, position=position)
+
+    est._commit_switch = logged
+    trace = []
+
+    def record(value):
+        trace.append((value, est.switches, tuple(offsets)))
+        offsets.clear()
+
+    pairs = [(c.items, c.deltas) for c in chunks.chunks()] if hasattr(
+        chunks, "chunks") else chunks
+    if path in ("bytes", "universe"):
+        source = chunks if path == "universe" else None
+        with SerialEngine().session(est, source=source) as session:
+            assert session.source_mode == (
+                "universe" if path == "universe" else None
+            )
+            for items, deltas in pairs:
+                session.feed(items, deltas)
+                record(session.query())
+    elif path == "batch":
+        for items, deltas in pairs:
+            est.update_batch(items, deltas)
+            record(est.query())
+    else:
+        for items, deltas in pairs:
+            for off, (item, delta) in enumerate(
+                zip(items.tolist(), deltas.tolist())
+            ):
+                before = est.switches
+                est.update(item, delta)
+                if est.switches != before:
+                    offsets.append(off)
+            record(est.query())
+    budget = est.discipline.budget_state() if hasattr(
+        est.discipline, "budget_state") else None
+    return trace, budget
+
+
+def _assert_paths_equal(make, chunks, paths):
+    traces = [_path_trace(make(), chunks, path) for path in paths]
+    for other in traces[1:]:
+        assert other == traces[0]
+    return traces[0][0]
+
+
+class TestBytesPathCrossings:
+    @pytest.mark.parametrize("seed,chunk", [(8, 97), (6, 211)])
+    def test_dp_f2_matches_universe_and_batch(self, seed, chunk):
+        """Several crossings per chunk, a switch on a chunk's last
+        update, and the same published values, switch positions, counts
+        and budget on the bytes, ``update_batch``, universe and per-item
+        paths."""
+        source = GeneratorChunkSource("uniform", n=64, m=3000, seed=seed,
+                                      chunk_size=chunk)
+        trace = _assert_paths_equal(
+            _f2_estimator, source, ("bytes", "batch", "universe", "item")
+        )
+        assert max(len(offs) for _, _, offs in trace) >= 3
+        assert any(chunk - 1 in offs for _, _, offs in trace), (
+            "no switch landed on a chunk's last update"
+        )
+
+    def test_restart_ring_replaces_mid_chunk(self, monkeypatch):
+        """A CountSketch restart ring rebuilds copies mid-chunk; each
+        rebuild refreshes the chunk's cached columns once, though the
+        aggregate-once probe's prep also serves as the raw chunk's."""
+        refreshed = []
+        original = countsketch.CountSketchStack.refresh
+
+        def spy(self, prepared, plane):
+            refreshed.append((id(prepared), plane))
+            return original(self, prepared, plane)
+
+        monkeypatch.setattr(countsketch.CountSketchStack, "refresh", spy)
+        replaced = []
+        backend_replace = LocalCopyBackend.replace
+
+        def counted(self, idx, rng):
+            before = len(refreshed)
+            backend_replace(self, idx, rng)
+            replaced.append(refreshed[before:])
+
+        monkeypatch.setattr(LocalCopyBackend, "replace", counted)
+        source = GeneratorChunkSource("uniform", n=48, m=4000, seed=2,
+                                      chunk_size=500)
+
+        def make():
+            return _f2_estimator(copies=6, discipline=False, restart=True)
+
+        trace = _assert_paths_equal(make, source, ("item", "bytes"))
+        mid = [off for _, _, offs in trace for off in offs if off > 0]
+        assert mid, "no copy was rebuilt mid-chunk"
+        assert replaced and all(len(calls) <= 1 for calls in replaced)
+        assert any(len(calls) == 1 for calls in replaced)
+        assert _path_trace(make(), source, "batch") == _path_trace(
+            make(), source, "universe")
+
+    @pytest.mark.parametrize("chunk", [120, 333])
+    def test_cancelling_and_weighted_deltas(self, chunk):
+        """Turnstile chunks with zero-sum items and non-unit deltas: the
+        stacked bytes path equals the per-object path update for update."""
+        rng = np.random.default_rng(17)
+        items = rng.integers(0, 40, 3000)
+        deltas = rng.choice([1, 1, 2, 3, -1], size=3000)
+        # Cancelling pairs inside each chunk: items whose sums are zero.
+        deltas[1::7] = -deltas[0::7][: len(deltas[1::7])]
+        items[1::7] = items[0::7][: len(items[1::7])]
+        pairs = [(items[lo:lo + chunk], deltas[lo:lo + chunk])
+                 for lo in range(0, len(items), chunk)]
+        assert any(
+            (aggregate_batch(i, d)[1] == 0).any() for i, d in pairs
+        )
+
+        def stacked():
+            return _f2_estimator(seed=5)
+
+        def objects():
+            return _f2_estimator(seed=5, stacked=False)
+
+        want = _path_trace(objects(), pairs, "batch")
+        assert _path_trace(stacked(), pairs, "bytes") == want
+        assert _path_trace(stacked(), pairs, "batch") == want
+        assert _path_trace(objects(), pairs, "bytes") == want
+        assert max(len(offs) for _, _, offs in want[0]) >= 2
+
+    def test_candidate_tracking_falls_back(self, monkeypatch):
+        """Stacks that track candidates keep ``subset`` and per-item
+        steps, and still equal the per-object path, candidates included."""
+        calls = {"subset": 0, "prefix": 0}
+        subset = countsketch.CountSketchStack.subset
+        prefix = countsketch.CountSketchStack.prefix_estimates
+
+        def counted_subset(self, *args):
+            calls["subset"] += 1
+            return subset(self, *args)
+
+        def counted_prefix(self, *args):
+            calls["prefix"] += 1
+            return prefix(self, *args)
+
+        monkeypatch.setattr(countsketch.CountSketchStack, "subset",
+                            counted_subset)
+        monkeypatch.setattr(countsketch.CountSketchStack, "prefix_estimates",
+                            counted_prefix)
+        source = GeneratorChunkSource("uniform", n=64, m=3000, seed=8,
+                                      chunk_size=400)
+        a = _f2_estimator(track=4)
+        b = _f2_estimator(track=4, stacked=False)
+        assert a._copies.stacks and not b._copies.stacks
+        assert _path_trace(a, source, "bytes") == _path_trace(b, source,
+                                                              "bytes")
+        assert calls["subset"] > 0 and calls["prefix"] == 0
+        for x, y in zip(a._copies.sketches, b._copies.sketches):
+            assert np.array_equal(x._table, y._table)
+            assert x._candidates == y._candidates
+
+    def test_crossing_spy(self, monkeypatch):
+        """A bytes-path crossing steps no template in its leaves and
+        runs no ``np.unique`` per bisection half: the per-chunk sort of
+        the aggregate-once probe and its prep is all a chunk sorts."""
+        updates = {"n": 0}
+        update = CountSketch.update
+
+        def counted_update(self, item, delta=1):
+            updates["n"] += 1
+            return update(self, item, delta)
+
+        monkeypatch.setattr(CountSketch, "update", counted_update)
+        sorts = {"n": 0}
+        unique = np.unique
+
+        def counted_unique(*args, **kwargs):
+            sorts["n"] += 1
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted_unique)
+        est = _f2_estimator()
+        halves = {"n": 0}
+        with SerialEngine().session(est) as session:
+            protocol = session._protocol
+            bisect = protocol._bisect
+
+            def counted_bisect(lo, hi, probes):
+                halves["n"] += hi - lo > REPLAY_LEAF
+                return bisect(lo, hi, probes)
+
+            protocol._bisect = counted_bisect
+            items = np.random.default_rng(3).integers(0, 64, 8 * 1024)
+            chunks = 0
+            for lo in range(1024, len(items), 1024):
+                # The first chunk crosses many times from an empty
+                # sketch; count from the second on.
+                if chunks == 0:
+                    session.feed(items[:1024])
+                    updates["n"] = sorts["n"] = halves["n"] = 0
+                session.feed(items[lo:lo + 1024])
+                chunks += 1
+        assert est.switches > 0 and halves["n"] >= 3
+        assert updates["n"] == 0
+        # One sort for the protocol's aggregate, one for its prep.
+        assert sorts["n"] <= 2 * chunks
+
+
+class TestPositionalSubrange:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        length=st.integers(1, 400),
+        universe=st.sampled_from([4, 40, 1000]),
+        weighted=st.booleans(),
+        aggregated=st.booleans(),
+        subset=st.booleans(),
+    )
+    def test_counts_subrange_feeds_what_subset_feeds(
+        self, seed, length, universe, weighted, aggregated, subset
+    ):
+        """``subrange``'s positional counts over the chunk's columns
+        (built from the raw chunk or from its aggregate) feed exactly
+        what ``subset`` of the slice feeds."""
+        rng = np.random.default_rng(seed)
+        items = rng.integers(0, universe, length)
+        deltas = (rng.integers(-3, 4, length) if weighted
+                  else np.ones(length, dtype=np.int64))
+        lo = int(rng.integers(0, length))
+        hi = int(rng.integers(lo + 1, length + 1))
+        prefix = rng.integers(0, universe, 200)
+        a, b = _prefilled(prefix), _prefilled(prefix)
+        sa, sb = a.stacks[0], b.stacks[0]
+        planes = _probes(subset, a.count, rng)
+        whole = (sa.prepare(*aggregate_batch(items, deltas)) if aggregated
+                 else sa.prepare(items, deltas))
+        sa.feed(sa.subrange(whole, items, deltas, lo, hi), planes)
+        full = sb.prepare(items, deltas)
+        sb.feed(sb.subset(full, items[lo:hi], deltas[lo:hi]), planes)
+        assert np.array_equal(sa.tables, sb.tables)
+        assert np.array_equal(sa.query_all(), sb.query_all())
